@@ -65,9 +65,12 @@ fn bench_crack_kernels(c: &mut Criterion) {
     });
     for t in [2usize, 4] {
         g.bench_function(format!("parallel_x{t}"), |b| {
+            let mut scratch = CrackScratch::new();
             b.iter_batched(
                 || (vals.clone(), rows.clone()),
-                |(mut v, mut r)| black_box(parallel_partition(&mut v, &mut r, 500_000, t)),
+                |(mut v, mut r)| {
+                    black_box(parallel_partition(&mut v, &mut r, 500_000, t, &mut scratch))
+                },
                 BatchSize::LargeInput,
             )
         });

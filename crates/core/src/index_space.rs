@@ -135,7 +135,7 @@ impl IndexSpace {
     /// Returns the slot id and the shared statistics handle the select
     /// operator updates.
     pub fn register_actual(&self, handle: Arc<dyn RefinableIndex>) -> (IndexId, Arc<IndexStats>) {
-        self.register_batch(vec![handle], Membership::Actual)
+        self.register_batch(vec![handle], Membership::Actual, &[])
             .pop()
             .expect("batch of one")
     }
@@ -145,44 +145,49 @@ impl IndexSpace {
         &self,
         handle: Arc<dyn RefinableIndex>,
     ) -> (IndexId, Arc<IndexStats>) {
-        self.register_batch(vec![handle], Membership::Potential)
+        self.register_batch(vec![handle], Membership::Potential, &[])
             .pop()
             .expect("batch of one")
     }
 
     /// Registers several indices as one admission unit in `C_actual` — the
-    /// shards of one attribute. The storage budget is sized once for the
-    /// batch's total bytes and eviction only considers *pre-existing*
-    /// entries, so the budget can never evict one sibling shard while its
-    /// brothers register (which would leave the owner's slot born-dead and
-    /// rebuilt on every query).
+    /// (re)built shards of one attribute. The storage budget is sized once
+    /// for the batch's total bytes, and eviction considers only
+    /// pre-existing entries outside `keep`: the budget never evicts a
+    /// member of the batch, nor a live sibling shard the caller is about
+    /// to read (either would leave the owner's slot born-dead and rebuilt
+    /// on every query).
     pub fn register_actual_batch(
         &self,
         handles: Vec<Arc<dyn RefinableIndex>>,
+        keep: &[IndexId],
     ) -> Vec<(IndexId, Arc<IndexStats>)> {
-        self.register_batch(handles, Membership::Actual)
+        self.register_batch(handles, Membership::Actual, keep)
     }
 
     /// [`IndexSpace::register_actual_batch`] into `C_potential`.
     pub fn register_potential_batch(
         &self,
         handles: Vec<Arc<dyn RefinableIndex>>,
+        keep: &[IndexId],
     ) -> Vec<(IndexId, Arc<IndexStats>)> {
-        self.register_batch(handles, Membership::Potential)
+        self.register_batch(handles, Membership::Potential, keep)
     }
 
     fn register_batch(
         &self,
         handles: Vec<Arc<dyn RefinableIndex>>,
         membership: Membership,
+        keep: &[IndexId],
     ) -> Vec<(IndexId, Arc<IndexStats>)> {
         let mut entries = self.entries.write();
         let incoming: usize = handles.iter().map(|h| h.payload_bytes()).sum();
         // Victims are chosen before the batch is appended, so a batch can
-        // evict anything pre-existing but never its own members; like a
-        // single oversized index, a batch larger than the whole budget is
-        // still admitted (the alternative leaves the query unanswerable).
-        self.make_room(&mut entries, incoming);
+        // evict anything pre-existing outside `keep` but never its own
+        // members; like a single oversized index, a batch larger than the
+        // whole budget is still admitted (the alternative leaves the query
+        // unanswerable).
+        self.make_room(&mut entries, incoming, keep);
         handles
             .into_iter()
             .map(|handle| {
@@ -209,11 +214,12 @@ impl IndexSpace {
             .collect()
     }
 
-    /// Evicts least-frequently-used indices until `incoming` bytes fit in
-    /// the budget (no-op when unlimited). The incoming index is always
-    /// admitted even if it alone exceeds the budget — dropping the index a
-    /// query needs right now would leave the query unanswerable.
-    fn make_room(&self, entries: &mut [Arc<Entry>], incoming: usize) {
+    /// Evicts least-frequently-used indices outside `keep` until `incoming`
+    /// bytes fit in the budget (no-op when unlimited). The incoming index
+    /// is always admitted even if it alone exceeds the budget — dropping
+    /// the index a query needs right now would leave the query
+    /// unanswerable.
+    fn make_room(&self, entries: &mut [Arc<Entry>], incoming: usize, keep: &[IndexId]) {
         let Some(budget) = self.config.storage_budget else {
             return;
         };
@@ -226,11 +232,11 @@ impl IndexSpace {
             if used + incoming <= budget {
                 return;
             }
-            // LFU victim among all live entries.
+            // LFU victim among all live entries the caller does not keep.
             let victim = entries
                 .iter()
                 .enumerate()
-                .filter(|(_, e)| e.membership() != Membership::Dropped)
+                .filter(|(i, e)| e.membership() != Membership::Dropped && !keep.contains(i))
                 .min_by_key(|(_, e)| e.stats.queries())
                 .map(|(i, _)| i);
             let Some(v) = victim else { return };
@@ -248,11 +254,10 @@ impl IndexSpace {
     }
 
     /// Tombstones a slot the owner no longer references — e.g. an engine
-    /// retiring the *surviving* shards of a partially evicted attribute
-    /// before re-registering the whole attribute, so live entries never
-    /// become unreachable orphans that pin payload bytes against the
-    /// budget and feed the daemon dead columns. Maintenance side; same
-    /// effect as a budget eviction.
+    /// retiring the shards a replan migrated into successors, so live
+    /// entries never become unreachable orphans that pin payload bytes
+    /// against the budget and feed the daemon dead columns. Maintenance
+    /// side; same effect as a budget eviction.
     pub fn retire(&self, id: IndexId) {
         let Some(e) = self.entry(id) else {
             return;
@@ -708,7 +713,7 @@ mod tests {
             .map(|k| make_handle(10_000, &format!("s{k}")))
             .collect();
         let ids: Vec<IndexId> = space
-            .register_actual_batch(batch)
+            .register_actual_batch(batch, &[])
             .into_iter()
             .map(|(id, _)| id)
             .collect();
@@ -720,6 +725,29 @@ mod tests {
                 "batch member {id} evicted by its own registration"
             );
         }
+    }
+
+    /// Entries the caller keeps (live sibling shards a read is about to
+    /// touch) are never eviction victims, even when they are the LFU
+    /// entries: the budget evicts around them.
+    #[test]
+    fn batch_registration_never_evicts_kept_entries() {
+        // Budget fits ~2 of the 10k-value indices.
+        let space = space_with(Strategy::W1Distance, Some(300 * 1024));
+        let (kept, _) = space.register_actual(make_handle(10_000, "kept"));
+        let (hot, _) = space.register_actual(make_handle(10_000, "hot"));
+        for _ in 0..5 {
+            space.record_user_query(hot, false, 1);
+        }
+        // `kept` is the LFU entry, but the caller keeps it: `hot` goes.
+        let ids = space.register_actual_batch(vec![make_handle(10_000, "new")], &[kept]);
+        assert_eq!(space.membership(kept), Some(Membership::Actual));
+        assert_eq!(space.membership(hot), Some(Membership::Dropped));
+        assert_eq!(space.membership(ids[0].0), Some(Membership::Actual));
+        // With everything else kept, the batch is admitted over budget.
+        let ids = space.register_actual_batch(vec![make_handle(10_000, "over")], &[kept, ids[0].0]);
+        assert_eq!(space.membership(ids[0].0), Some(Membership::Actual));
+        assert_eq!(space.membership(kept), Some(Membership::Actual));
     }
 
     /// Budget pressure is the charged fraction of the budget, and the

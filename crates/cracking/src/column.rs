@@ -61,13 +61,25 @@ use std::sync::Arc;
 
 /// A pluggable two-way partition kernel: partitions `vals`/`rows` around
 /// `pivot` and returns the split point. Multi-core cracking (PVDC, [44])
-/// installs a parallel partition through this hook.
-pub type PartitionFn<V> = Arc<dyn Fn(&mut [V], &mut [RowId], V) -> usize + Send + Sync>;
+/// installs a parallel partition through this hook. The caller's crack
+/// scratch is passed through, so a kernel that falls back to the
+/// out-of-place sequential partition reuses its buffers instead of
+/// allocating a piece-sized scratch per crack.
+pub type PartitionFn<V> =
+    Arc<dyn Fn(&mut [V], &mut [RowId], V, &mut CrackScratch<V>) -> usize + Send + Sync>;
 
 enum KernelImpl<V> {
     Branchy,
     Vectorized,
     Custom(PartitionFn<V>),
+}
+
+/// `(min, max)` of `vals`, `None` when empty — one branch-free pass.
+pub(crate) fn value_domain<V: CrackValue>(vals: &[V]) -> Option<(V, V)> {
+    let first = *vals.first()?;
+    Some(vals.iter().fold((first, first), |(lo, hi), &v| {
+        (if v < lo { v } else { lo }, if v > hi { v } else { hi })
+    }))
 }
 
 /// `true` when a splice span starting at anchor `a` begins at or before
@@ -201,7 +213,7 @@ impl<V: CrackValue> CrackerColumn<V> {
             _ => KernelImpl::Vectorized,
         };
         let rows = (0..base.len() as RowId).collect();
-        Self::build(name, base.to_vec(), rows, kernel, refine)
+        Self::build(name, base.to_vec(), rows, None, kernel, refine)
     }
 
     /// Builds a cracker column with a custom partition kernel for
@@ -216,6 +228,7 @@ impl<V: CrackValue> CrackerColumn<V> {
             name,
             base.to_vec(),
             (0..base.len() as RowId).collect(),
+            None,
             KernelImpl::Custom(partition),
             KernelImpl::Vectorized,
         )
@@ -234,6 +247,7 @@ impl<V: CrackValue> CrackerColumn<V> {
             name,
             base.to_vec(),
             (0..base.len() as RowId).collect(),
+            None,
             KernelImpl::Custom(select_partition),
             KernelImpl::Custom(refine_partition),
         )
@@ -248,6 +262,7 @@ impl<V: CrackValue> CrackerColumn<V> {
             name,
             base.to_vec(),
             rows,
+            None,
             KernelImpl::Vectorized,
             KernelImpl::Vectorized,
         )
@@ -258,49 +273,45 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// subset of base tuples whose values fall in its range while keeping
     /// global base-table positions.
     pub fn from_parts(name: impl Into<String>, vals: Vec<V>, rows: Vec<RowId>) -> Self {
-        Self::build(
-            name,
-            vals,
-            rows,
-            KernelImpl::Vectorized,
-            KernelImpl::Vectorized,
-        )
+        Self::from_routed(name, vals, rows, None, None, None)
     }
 
-    /// [`CrackerColumn::from_parts`] with distinct query-path and
-    /// worker-path partition kernels (mirrors
-    /// [`CrackerColumn::with_partition_fns`] for sharded columns).
-    pub fn from_parts_with_partition_fns(
+    /// [`CrackerColumn::from_parts`] for a shard routing pass: `domain` is
+    /// the values' `(min, max)` when the caller already computed it while
+    /// routing (`None` walks the values once more), and each `None` kernel
+    /// is the vectorized out-of-place one — the right choice for one-thread
+    /// gangs, which gain nothing from a custom partition hook.
+    pub fn from_routed(
         name: impl Into<String>,
         vals: Vec<V>,
         rows: Vec<RowId>,
-        select_partition: PartitionFn<V>,
-        refine_partition: PartitionFn<V>,
+        domain: Option<(V, V)>,
+        select_partition: Option<PartitionFn<V>>,
+        refine_partition: Option<PartitionFn<V>>,
     ) -> Self {
+        let kernel =
+            |f: Option<PartitionFn<V>>| f.map_or(KernelImpl::Vectorized, KernelImpl::Custom);
         Self::build(
             name,
             vals,
             rows,
-            KernelImpl::Custom(select_partition),
-            KernelImpl::Custom(refine_partition),
+            domain,
+            kernel(select_partition),
+            kernel(refine_partition),
         )
     }
 
+    /// `domain` is the values' `(min, max)` when known; `None` computes it.
     fn build(
         name: impl Into<String>,
         vals: Vec<V>,
         rows: Vec<RowId>,
+        domain: Option<(V, V)>,
         select_kernel: KernelImpl<V>,
         refine_kernel: KernelImpl<V>,
     ) -> Self {
         assert_eq!(vals.len(), rows.len(), "values/row-ids length mismatch");
-        let mut lo_hi = None;
-        for &v in &vals {
-            lo_hi = Some(match lo_hi {
-                None => (v, v),
-                Some((lo, hi)) => (if v < lo { v } else { lo }, if v > hi { v } else { hi }),
-            });
-        }
+        let domain = domain.or_else(|| value_domain(&vals));
         let n = vals.len();
         let col = CrackerColumn {
             name: name.into(),
@@ -309,7 +320,7 @@ impl<V: CrackValue> CrackerColumn<V> {
             structure: RwLock::new(()),
             index: RwLock::new(CrackerIndex::new(n)),
             pending: Mutex::new(PendingUpdates::new()),
-            domain: Mutex::new(lo_hi),
+            domain: Mutex::new(domain),
             select_kernel,
             refine_kernel,
             snap: SnapshotCell::new(),
@@ -597,8 +608,8 @@ impl<V: CrackValue> CrackerColumn<V> {
                 }
                 KernelImpl::Custom(f) => {
                     let (vals, rows) = (vg.slice(), rg.slice());
-                    let a = f(vals, rows, pred.lo);
-                    let b = a + f(&mut vals[a..], &mut rows[a..], pred.hi);
+                    let a = f(vals, rows, pred.lo, scratch);
+                    let b = a + f(&mut vals[a..], &mut rows[a..], pred.hi, scratch);
                     (a, b)
                 }
             }
@@ -687,7 +698,7 @@ impl<V: CrackValue> CrackerColumn<V> {
                 match kernel {
                     KernelImpl::Branchy => crack_in_two(vg.slice(), rg.slice(), v),
                     KernelImpl::Vectorized => crack_in_two_oop(vg.slice(), rg.slice(), v, scratch),
-                    KernelImpl::Custom(f) => f(vg.slice(), rg.slice(), v),
+                    KernelImpl::Custom(f) => f(vg.slice(), rg.slice(), v, scratch),
                 }
             };
             let pos = start + split;

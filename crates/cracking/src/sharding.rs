@@ -33,14 +33,77 @@
 //! queries finish against the plan version they started with; updates
 //! that raced into a sealed predecessor shard are rejected (`false` from
 //! the queue ops) and re-routed through the successor plan.
+//!
+//! The shard is also the unit of rebuild after a storage-budget eviction:
+//! [`ShardedColumn::rebuild_shards`] builds a successor under the *same*
+//! plan and version that shares every live shard by `Arc` and refills only
+//! the dead ones from the base column. A cold build is the same routine
+//! with every shard dead — one routing pass that fills only the shards
+//! asked for, computing each shard's value domain on the way.
 
-use crate::column::{CrackerColumn, PartitionFn};
+use crate::column::{value_domain, CrackerColumn, PartitionFn};
 use holix_storage::select::Predicate;
 use holix_storage::types::{CrackValue, RowId};
 use std::sync::Arc;
 
 /// Maximum base values sampled for the quantile cuts.
 const PLAN_SAMPLE: usize = 1 << 16;
+
+/// The query-path and worker-path partition kernels installed on every
+/// shard; `None` is the vectorized out-of-place kernel.
+type ShardKernels<V> = (Option<PartitionFn<V>>, Option<PartitionFn<V>>);
+
+/// One shard's tuples from a routing pass: values, global row ids and the
+/// values' `(min, max)`.
+struct Routed<V> {
+    vals: Vec<V>,
+    rows: Vec<RowId>,
+    lo: V,
+    hi: V,
+}
+
+/// One routing pass over `base` that fills only the shards `fill` marks:
+/// each receives its tuples (global row ids kept) and its value domain,
+/// computed in the same pass. Shards not marked stay `None` and cost
+/// nothing but the per-row shard index.
+fn route<V: CrackValue>(base: &[V], plan: &ShardPlan<V>, fill: &[bool]) -> Vec<Option<Routed<V>>> {
+    let s = plan.shards();
+    if s == 1 {
+        // The unsharded layout: a straight copy, no per-row routing.
+        return vec![fill[0].then(|| {
+            let (lo, hi) = value_domain(base).unwrap_or((V::MAX_VALUE, V::MIN_VALUE));
+            Routed {
+                vals: base.to_vec(),
+                rows: (0..base.len() as RowId).collect(),
+                lo,
+                hi,
+            }
+        })];
+    }
+    // Equi-depth plans give each shard about n/s rows; the slack absorbs
+    // sampling error without a reallocation in the common case.
+    let cap = base.len() / s + base.len() / (s * 4) + 1;
+    let mut out: Vec<Option<Routed<V>>> = fill
+        .iter()
+        .map(|&f| {
+            f.then(|| Routed {
+                vals: Vec::with_capacity(cap),
+                rows: Vec::with_capacity(cap),
+                lo: V::MAX_VALUE,
+                hi: V::MIN_VALUE,
+            })
+        })
+        .collect();
+    for (r, &v) in base.iter().enumerate() {
+        if let Some(o) = &mut out[plan.shard_of(v)] {
+            o.vals.push(v);
+            o.rows.push(r as RowId);
+            o.lo = if v < o.lo { v } else { o.lo };
+            o.hi = if v > o.hi { v } else { o.hi };
+        }
+    }
+    out
+}
 
 /// Immutable range-partitioning plan: `cuts` are the S−1 interior
 /// boundaries, ascending and strictly increasing. Shard `k` holds values
@@ -104,9 +167,12 @@ impl<V: CrackValue> ShardPlan<V> {
         &self.cuts
     }
 
-    /// Index of the shard holding value `v`.
+    /// Index of the shard holding value `v`: the count of cuts at or below
+    /// `v`. The routing pass runs it once per base row, and a count has no
+    /// data-dependent branch, where a binary search mispredicts on every
+    /// other row of uniform data.
     pub fn shard_of(&self, v: V) -> usize {
-        self.cuts.partition_point(|&c| c <= v)
+        self.cuts.iter().map(|&c| (c <= v) as usize).sum()
     }
 
     /// Inclusive range `(first, last)` of shards intersecting `[lo, hi)`.
@@ -178,9 +244,9 @@ pub struct ShardedColumn<V> {
     /// Base name; rebuilt shards of plan version `v` are named
     /// `{name}/v{v}/s{k}`.
     name: String,
-    /// Kernels to install on shards rebuilt by a replan (the build-time
-    /// choice carries over to successors).
-    kernels: Option<(PartitionFn<V>, PartitionFn<V>)>,
+    /// Kernels to install on shards rebuilt by a replan or after an
+    /// eviction (the build-time choice carries over to successors).
+    kernels: ShardKernels<V>,
     /// Plan version (0 at build; +1 per applied replan).
     version: u64,
 }
@@ -189,70 +255,72 @@ impl<V: CrackValue> ShardedColumn<V> {
     /// Builds shards from a base column with a precomputed plan. Each base
     /// tuple lands in exactly one shard, keeping its global row id.
     pub fn from_base_with_plan(name: &str, base: &[V], plan: ShardPlan<V>) -> Self {
-        Self::build(name, base, plan, None)
+        Self::with_partition_fns(name, base, plan, None, None)
     }
 
-    /// [`ShardedColumn::from_base_with_plan`] with distinct query-path and
-    /// worker-path partition kernels installed on every shard.
+    /// [`ShardedColumn::from_base_with_plan`] with the query-path and
+    /// worker-path partition kernels installed on every shard (`None` =
+    /// the vectorized kernel).
     pub fn with_partition_fns(
         name: &str,
         base: &[V],
         plan: ShardPlan<V>,
-        select_partition: PartitionFn<V>,
-        refine_partition: PartitionFn<V>,
+        select_partition: Option<PartitionFn<V>>,
+        refine_partition: Option<PartitionFn<V>>,
     ) -> Self {
-        Self::build(name, base, plan, Some((select_partition, refine_partition)))
+        let dead = vec![None; plan.shards()];
+        let empty = ShardedColumn {
+            plan,
+            shards: Vec::new(),
+            name: name.to_string(),
+            kernels: (select_partition, refine_partition),
+            version: 0,
+        };
+        empty.with_shards(base, dead)
     }
 
-    fn build(
-        name: &str,
-        base: &[V],
-        plan: ShardPlan<V>,
-        kernels: Option<(PartitionFn<V>, PartitionFn<V>)>,
-    ) -> Self {
-        let s = plan.shards();
-        // Single shard (the default): straight memcpy, no per-tuple
-        // routing — this path sits on first-touch column construction.
-        let (vals, rows): (Vec<Vec<V>>, Vec<Vec<RowId>>) = if s == 1 {
-            (
-                vec![base.to_vec()],
-                vec![(0..base.len() as RowId).collect()],
-            )
-        } else {
-            let cap = base.len() / s + base.len() / (s * 4) + 1;
-            let mut vals: Vec<Vec<V>> = (0..s).map(|_| Vec::with_capacity(cap)).collect();
-            let mut rows: Vec<Vec<RowId>> = (0..s).map(|_| Vec::with_capacity(cap)).collect();
-            for (r, &v) in base.iter().enumerate() {
-                let k = plan.shard_of(v);
-                vals[k].push(v);
-                rows[k].push(r as RowId);
-            }
-            (vals, rows)
-        };
-        let shards = vals
+    /// The successor of this column after its shards `dead` were evicted:
+    /// same plan, same version, each listed shard rebuilt from the base
+    /// rows in its value range, every other shard shared by `Arc` (its
+    /// cracks, snapshot and point filter survive). Rebuild-from-base drops
+    /// the updates a dead shard had absorbed, per shard: an update that
+    /// moved a row from a live shard into a dead one (or back) is half
+    /// reverted, leaving the row in both shards or in neither.
+    pub fn rebuild_shards(&self, base: &[V], dead: &[usize]) -> Self {
+        let mut shards: Vec<Option<Arc<CrackerColumn<V>>>> =
+            self.shards.iter().cloned().map(Some).collect();
+        for &k in dead {
+            shards[k] = None;
+        }
+        self.with_shards(base, shards)
+    }
+
+    /// The one materialisation routine: a column with this one's plan,
+    /// name, kernels and version whose shards are `shards`, every `None`
+    /// filled from `base` by a single routing pass. A cold build is the
+    /// case where every shard is `None`.
+    fn with_shards(&self, base: &[V], shards: Vec<Option<Arc<CrackerColumn<V>>>>) -> Self {
+        let fill: Vec<bool> = shards.iter().map(Option::is_none).collect();
+        let routed = route(base, &self.plan, &fill);
+        let shards = shards
             .into_iter()
-            .zip(rows)
+            .zip(routed)
             .enumerate()
-            .map(|(k, (v, r))| {
-                let shard_name = format!("{name}/s{k}");
-                Arc::new(match &kernels {
-                    Some((sel, refi)) => CrackerColumn::from_parts_with_partition_fns(
-                        shard_name,
-                        v,
-                        r,
-                        Arc::clone(sel),
-                        Arc::clone(refi),
-                    ),
-                    None => CrackerColumn::from_parts(shard_name, v, r),
-                })
+            .map(|(k, (shard, routed))| match (shard, routed) {
+                (Some(shard), _) => shard,
+                (None, Some(r)) => {
+                    let domain = (!r.vals.is_empty()).then_some((r.lo, r.hi));
+                    self.new_shard(self.version, k, r.vals, r.rows, domain)
+                }
+                (None, None) => unreachable!("the routing pass fills every dead shard"),
             })
             .collect();
         ShardedColumn {
-            plan,
+            plan: self.plan.clone(),
             shards,
-            name: name.to_string(),
-            kernels,
-            version: 0,
+            name: self.name.clone(),
+            kernels: self.kernels.clone(),
+            version: self.version,
         }
     }
 
@@ -333,26 +401,30 @@ impl<V: CrackValue> ShardedColumn<V> {
         }
     }
 
-    /// A fresh shard column for the successor plan, carrying over the
-    /// build-time kernel choice.
-    fn rebuilt(
+    /// A fresh shard `k` of plan `version`, carrying over the build-time
+    /// kernel choice. Version 0 shards are named `{name}/s{k}`, later
+    /// versions `{name}/v{version}/s{k}`.
+    fn new_shard(
         &self,
+        version: u64,
         k: usize,
         vals: Vec<V>,
         rows: Vec<RowId>,
-        version: u64,
+        domain: Option<(V, V)>,
     ) -> Arc<CrackerColumn<V>> {
-        let shard_name = format!("{}/v{version}/s{k}", self.name);
-        Arc::new(match &self.kernels {
-            Some((sel, refi)) => CrackerColumn::from_parts_with_partition_fns(
-                shard_name,
-                vals,
-                rows,
-                Arc::clone(sel),
-                Arc::clone(refi),
-            ),
-            None => CrackerColumn::from_parts(shard_name, vals, rows),
-        })
+        let shard_name = match version {
+            0 => format!("{}/s{k}", self.name),
+            v => format!("{}/v{v}/s{k}", self.name),
+        };
+        let (sel, refi) = &self.kernels;
+        Arc::new(CrackerColumn::from_routed(
+            shard_name,
+            vals,
+            rows,
+            domain,
+            sel.clone(),
+            refi.clone(),
+        ))
     }
 
     /// Split shard `k` at its median value (falling back to the smallest
@@ -398,8 +470,8 @@ impl<V: CrackValue> ShardedColumn<V> {
         cuts.insert(k, cut);
         let mut shards = Vec::with_capacity(self.shards.len() + 1);
         shards.extend(self.shards[..k].iter().cloned());
-        shards.push(self.rebuilt(k, lv, lr, version));
-        shards.push(self.rebuilt(k + 1, rv, rr, version));
+        shards.push(self.new_shard(version, k, lv, lr, None));
+        shards.push(self.new_shard(version, k + 1, rv, rr, None));
         shards.extend(self.shards[k + 1..].iter().cloned());
         Some(ShardedColumn {
             plan: ShardPlan::from_cuts(cuts),
@@ -424,7 +496,7 @@ impl<V: CrackValue> ShardedColumn<V> {
         cuts.remove(left);
         let mut shards = Vec::with_capacity(self.shards.len() - 1);
         shards.extend(self.shards[..left].iter().cloned());
-        shards.push(self.rebuilt(left, vals, rows, version));
+        shards.push(self.new_shard(version, left, vals, rows, None));
         shards.extend(self.shards[left + 2..].iter().cloned());
         Some(ShardedColumn {
             plan: ShardPlan::from_cuts(cuts),
@@ -820,6 +892,67 @@ mod tests {
         assert!(col.apply_replan(ReplanAction::Split { shard: 0 }).is_none());
         assert!(!col.shard(0).is_sealed(), "aborted split left shard sealed");
         assert!(col.queue_insert(5, 1_000), "aborted split lost the ingress");
+    }
+
+    #[test]
+    fn rebuild_shares_live_shards_and_refills_dead_ones_from_base() {
+        let b = base(40_000, 10_000, 30);
+        let plan = ShardPlan::from_values(&b, 4);
+        let col = ShardedColumn::from_base_with_plan("a", &b, plan);
+        let mut scratch = CrackScratch::new();
+        // Crack every shard so survivors carry state worth keeping.
+        let pred = Predicate::range(1_234, 8_765);
+        let (stats, _) = select_verified(&col, pred, &mut scratch);
+        assert_eq!(stats, scan_stats(&b, pred));
+        let whole = Predicate::range(i64::MIN, i64::MAX);
+        // One dead shard and two.
+        for dead in [vec![2], vec![1, 3]] {
+            let pieces: Vec<usize> = (0..4).map(|k| col.shard(k).piece_count()).collect();
+            let next = col.rebuild_shards(&b, &dead);
+            assert_eq!((next.version(), next.plan()), (col.version(), col.plan()));
+            for (k, &before) in pieces.iter().enumerate() {
+                let shared = Arc::ptr_eq(next.shard(k), col.shard(k));
+                assert_eq!(shared, !dead.contains(&k), "shard {k} of {dead:?}");
+                if dead.contains(&k) {
+                    // Rebuilt: one uncracked piece holding exactly the
+                    // base tuples of the shard's value range, row ids kept.
+                    assert_eq!(next.shard(k).piece_count(), 1);
+                    assert_eq!(next.shard(k).len(), col.shard(k).len());
+                    let mut want: Vec<(i64, RowId)> = (0..b.len())
+                        .filter(|&r| col.plan().shard_of(b[r]) == k)
+                        .map(|r| (b[r], r as RowId))
+                        .collect();
+                    let n = want.len();
+                    let mut got: Vec<(i64, RowId)> = next
+                        .shard(k)
+                        .snapshot_range(0, n)
+                        .into_iter()
+                        .zip(
+                            next.shard(k)
+                                .collect_row_ids(whole)
+                                .expect("sentinel bounds"),
+                        )
+                        .collect();
+                    want.sort_unstable();
+                    got.sort_unstable();
+                    assert_eq!(got, want, "shard {k}");
+                    let lo = want.iter().map(|w| w.0).min();
+                    let hi = want.iter().map(|w| w.0).max();
+                    assert_eq!(next.shard(k).domain(), lo.zip(hi));
+                    next.shard(k).check_invariants(None);
+                } else {
+                    assert_eq!(next.shard(k).piece_count(), before);
+                }
+            }
+            for pred in [
+                pred,
+                Predicate::range(0, 10_000),
+                Predicate::range(4_000, 4_100),
+            ] {
+                let (stats, _) = select_verified(&next, pred, &mut scratch);
+                assert_eq!(stats, scan_stats(&b, pred));
+            }
+        }
     }
 
     #[test]

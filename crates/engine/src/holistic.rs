@@ -23,6 +23,26 @@
 //! answer without cracking. Containment collects are served only from the
 //! snapshots: there is no locked collect path.
 //!
+//! ## Shard-granular eviction
+//!
+//! The shard is also the unit of eviction, liveness and rebuild. The
+//! storage budget evicts single `(attr, shard)` slots (LFU), and a read
+//! checks liveness only for the shards its predicate fans out to — a point
+//! probe or an update only for the shard owning its value — so a dead
+//! shard outside that range costs nothing. When a needed shard is dead,
+//! one routine (`HolisticEngine::materialise`) runs under the slot's
+//! write lock: it rebuilds just the needed dead shards from the base rows
+//! of their value ranges, shares every other shard by `Arc` (cracks,
+//! snapshots and filters survive), registers only the rebuilt shards —
+//! never evicting a live shard the same read needs — and splices their
+//! fresh ids into the slot. The first build of a cold attribute and
+//! [`HolisticEngine::add_potential`] are the same routine with every shard
+//! dead. Rebuilding from base drops the updates an evicted shard had
+//! absorbed, and each shard reverts on its own: an update that moved a
+//! row across shards (a delete in one, an insert in another) is half
+//! reverted when only one of the two is rebuilt — the row is counted
+//! twice, or not at all.
+//!
 //! ## Versioned shard plans
 //!
 //! With [`HolisticEngineConfig::replan`] the shard plan stops being a
@@ -135,6 +155,12 @@ struct PlanShared {
     plan_cells: Vec<EpochCell<PlanEpoch<i64>>>,
     /// Total split/merge cutovers published across all attributes.
     replans: AtomicU64,
+    /// Per-attribute replan serialisation, held from reading the slot to
+    /// the cutover. Two concurrent migrations of one shard would otherwise
+    /// race: an aborted one could reopen the ingress of a shard the other
+    /// is draining, and updates accepted there would be lost at its
+    /// cutover.
+    replanning: Vec<parking_lot::Mutex<()>>,
 }
 
 struct Replanner {
@@ -205,6 +231,7 @@ impl HolisticEngine {
             cols: (0..data.attrs()).map(|_| RwLock::new(None)).collect(),
             plan_cells,
             replans: AtomicU64::new(0),
+            replanning: (0..data.attrs()).map(|_| Default::default()).collect(),
         });
         let replanner = cfg.replan.then(|| {
             spawn_replanner(
@@ -250,98 +277,125 @@ impl HolisticEngine {
     }
 
     fn build_column(&self, attr: usize) -> Arc<ShardedColumn<i64>> {
-        let refine_threads = self.cfg.holistic.worker_threads.max(1);
+        // A one-thread gang gains nothing from the parallel partition hook:
+        // the vectorized kernels (with the fused three-way crack) serve it.
+        let kernel = |threads: usize| (threads > 1).then(|| parallel_partition_fn(threads));
         Arc::new(ShardedColumn::with_partition_fns(
             &format!("attr{attr}"),
             self.data.column(attr),
             // The *published* plan, not the construction plan: an
-            // attribute evicted after a replan must rebuild with the
-            // revised cuts or its routing would silently regress.
+            // attribute built after a replan must use the revised cuts or
+            // its routing would silently regress.
             self.plan_epoch(attr).plan.clone(),
-            parallel_partition_fn(self.cfg.user_threads),
-            parallel_partition_fn(refine_threads),
+            kernel(self.cfg.user_threads),
+            kernel(self.cfg.holistic.worker_threads.max(1)),
         ))
     }
 
-    /// Registers all of an attribute's shards as ONE admission batch, so
-    /// the storage budget can evict other attributes but never a sibling
-    /// shard of the batch being registered (which would leave this slot
-    /// born-dead and rebuilt on every query).
-    fn register_shards(
-        &self,
-        col: &Arc<ShardedColumn<i64>>,
-        register_batch: impl FnOnce(
-            Vec<Arc<dyn holix_core::RefinableIndex>>,
-        ) -> Vec<(IndexId, Arc<holix_core::IndexStats>)>,
-    ) -> Arc<[IndexId]> {
-        let handles: Vec<Arc<dyn holix_core::RefinableIndex>> = (0..col.shard_count())
-            .map(|k| {
-                Arc::new(CrackerHandle::new(Arc::clone(col.shard(k))))
-                    as Arc<dyn holix_core::RefinableIndex>
-            })
-            .collect();
-        register_batch(handles)
-            .into_iter()
-            .map(|(id, _)| id)
-            .collect()
+    /// `false` once the storage budget evicted the slot.
+    fn live(&self, id: IndexId) -> bool {
+        self.space.membership(id) != Some(Membership::Dropped)
     }
 
-    fn slot_live(&self, slot: &AttrSlot) -> bool {
+    /// `true` when every shard in `need` (an inclusive shard range of the
+    /// slot's own plan; `None` = no shard) is live.
+    fn shards_live(&self, slot: &AttrSlot, need: Option<(usize, usize)>) -> bool {
         // Without a storage budget nothing is ever evicted — skip the
         // per-shard membership probes on the hot path.
         if self.cfg.holistic.storage_budget.is_none() {
             return true;
         }
-        slot.ids
-            .iter()
-            .all(|&id| self.space.membership(id) != Some(Membership::Dropped))
+        need.is_none_or(|(first, last)| slot.ids[first..=last].iter().all(|&id| self.live(id)))
     }
 
-    /// Gets (or creates / re-creates after eviction) the sharded column for
-    /// an attribute; creation registers every shard in `C_actual`.
-    /// Eviction granularity is the whole attribute: when any shard slot was
-    /// dropped by the storage budget, all of the attribute's shards are
-    /// rebuilt and re-registered.
-    pub fn sharded(&self, attr: usize) -> (Arc<ShardedColumn<i64>>, Arc<[IndexId]>) {
+    /// The `(column, ids)` pair of an attribute with every shard `need`
+    /// names live — `need` maps the slot's plan to the inclusive shard
+    /// range a caller touches (a predicate's fan-out, an update's or point
+    /// probe's owning shard). A dead shard outside that range triggers
+    /// nothing; a dead shard inside it is rebuilt by [`Self::materialise`].
+    fn slot_for(&self, attr: usize, need: impl Fn(&ShardPlan<i64>) -> ShardSpan) -> SlotPair {
         {
             let guard = self.shared.cols[attr].read();
             if let Some(slot) = guard.as_ref() {
-                if self.slot_live(slot) {
+                if self.shards_live(slot, need(slot.col.plan())) {
                     return (Arc::clone(&slot.col), Arc::clone(&slot.ids));
                 }
             }
         }
         let mut guard = self.shared.cols[attr].write();
-        if let Some(slot) = guard.as_ref() {
-            if self.slot_live(slot) {
-                return (Arc::clone(&slot.col), Arc::clone(&slot.ids));
+        self.materialise(attr, &mut guard, need, IndexSpace::register_actual_batch)
+    }
+
+    /// The one materialisation routine, run under the slot's write lock:
+    /// rebuilds from the base rows every dead shard `need` names — every
+    /// shard of a cold attribute — in one routing pass, shares every other
+    /// shard by `Arc` (cracks, snapshots and filters survive), registers
+    /// only the rebuilt shards through `register`, and splices their fresh
+    /// ids into the slot. The registration keeps the live shards `need`
+    /// names: the budget may evict other attributes' shards, or this
+    /// attribute's shards the caller does not touch, but never one the
+    /// caller is about to read.
+    fn materialise(
+        &self,
+        attr: usize,
+        slot: &mut Option<AttrSlot>,
+        need: impl Fn(&ShardPlan<i64>) -> ShardSpan,
+        register: RegisterBatch,
+    ) -> SlotPair {
+        let (col, mut ids, dead, keep) = match slot.as_ref() {
+            None => {
+                let col = self.build_column(attr);
+                let n = col.shard_count();
+                (col, vec![0; n], (0..n).collect::<Vec<_>>(), Vec::new())
             }
-            // Partial eviction: the budget dropped some shard(s). The
-            // survivors must be retired before the rebuild, or their live
-            // registry entries become unreachable orphans double-counting
-            // the budget and feeding the daemon dead columns.
-            self.retire_slot(slot);
+            Some(slot) => {
+                let (mut dead, mut keep) = (Vec::new(), Vec::new());
+                if let Some((first, last)) = need(slot.col.plan()) {
+                    for k in first..=last {
+                        if self.live(slot.ids[k]) {
+                            keep.push(slot.ids[k]);
+                        } else {
+                            dead.push(k);
+                        }
+                    }
+                }
+                if dead.is_empty() {
+                    return (Arc::clone(&slot.col), Arc::clone(&slot.ids));
+                }
+                let col = slot.col.rebuild_shards(self.data.column(attr), &dead);
+                (Arc::new(col), slot.ids.to_vec(), dead, keep)
+            }
+        };
+        let handles: Vec<Arc<dyn holix_core::RefinableIndex>> = dead
+            .iter()
+            .map(|&k| {
+                Arc::new(CrackerHandle::new(Arc::clone(col.shard(k))))
+                    as Arc<dyn holix_core::RefinableIndex>
+            })
+            .collect();
+        for (&k, (id, _)) in dead.iter().zip(register(&self.space, handles, &keep)) {
+            ids[k] = id;
         }
-        let col = self.build_column(attr);
-        let ids = self.register_shards(&col, |hs| self.space.register_actual_batch(hs));
-        *guard = Some(AttrSlot {
+        let ids: Arc<[IndexId]> = ids.into();
+        *slot = Some(AttrSlot {
             col: Arc::clone(&col),
             ids: Arc::clone(&ids),
         });
         (col, ids)
     }
 
-    fn retire_slot(&self, slot: &AttrSlot) {
-        for &id in slot.ids.iter() {
-            self.space.retire(id);
-        }
+    /// Gets the sharded column for an attribute with every shard live,
+    /// creating it on first touch (every shard registered in `C_actual`)
+    /// or rebuilding exactly the shards the storage budget evicted.
+    pub fn sharded(&self, attr: usize) -> (Arc<ShardedColumn<i64>>, Arc<[IndexId]>) {
+        self.slot_for(attr, every_shard)
     }
 
     /// The first shard's cracker column and slot id. With `shards == 1`
     /// (the default) this is the attribute's whole cracker column —
     /// invariant checks and single-column experiments use it.
     pub fn column(&self, attr: usize) -> (Arc<CrackerColumn<i64>>, IndexId) {
-        let (col, ids) = self.sharded(attr);
+        let (col, ids) = self.slot_for(attr, |_| Some((0, 0)));
         (Arc::clone(col.shard(0)), ids[0])
     }
 
@@ -349,22 +403,20 @@ impl HolisticEngine {
     /// scenario: "holistic indexing chooses random indexes to insert in
     /// C_potential and refines them until the first query arrives").
     ///
-    /// A slot whose index was evicted by the storage budget
-    /// ([`Membership::Dropped`]) is re-registered, mirroring
-    /// [`HolisticEngine::sharded`] — an occupied-but-dead slot must not
-    /// block re-speculation.
+    /// Runs the same routine as a read that needs every shard: a cold
+    /// attribute is built whole, shards the storage budget evicted
+    /// ([`Membership::Dropped`]) are rebuilt and re-registered — an
+    /// occupied-but-dead slot must not block re-speculation — and live
+    /// shards are left as they are.
     pub fn add_potential(&self, attrs: &[usize]) {
         for &attr in attrs {
             let mut guard = self.shared.cols[attr].write();
-            if let Some(slot) = guard.as_ref() {
-                if self.slot_live(slot) {
-                    continue;
-                }
-                self.retire_slot(slot);
-            }
-            let col = self.build_column(attr);
-            let ids = self.register_shards(&col, |hs| self.space.register_potential_batch(hs));
-            *guard = Some(AttrSlot { col, ids });
+            self.materialise(
+                attr,
+                &mut guard,
+                every_shard,
+                IndexSpace::register_potential_batch,
+            );
         }
     }
 
@@ -428,7 +480,7 @@ impl HolisticEngine {
     /// never silently dropped across a replan.
     pub fn queue_insert(&self, attr: usize, v: i64, row: holix_storage::types::RowId) {
         loop {
-            let (col, _) = self.sharded(attr);
+            let (col, _) = self.slot_for(attr, owning_shard(v));
             if col.queue_insert(v, row) {
                 return;
             }
@@ -440,7 +492,7 @@ impl HolisticEngine {
     /// (same sealed-shard retry discipline as [`Self::queue_insert`]).
     pub fn queue_delete(&self, attr: usize, v: i64, row: holix_storage::types::RowId) {
         loop {
-            let (col, _) = self.sharded(attr);
+            let (col, _) = self.slot_for(attr, owning_shard(v));
             if col.queue_delete(v, row) {
                 return;
             }
@@ -461,6 +513,7 @@ impl HolisticEngine {
     /// range, or the migration aborted (e.g. an unsplittable
     /// constant-valued shard).
     pub fn force_replan(&self, attr: usize, action: ReplanAction) -> bool {
+        let _serial = self.shared.replanning[attr].lock();
         let Some((col, ids)) = peek_slot(&self.shared, attr) else {
             return false;
         };
@@ -480,7 +533,7 @@ impl HolisticEngine {
         mut merge: impl FnMut(T),
     ) {
         let _task = self.accountant.begin_task(self.cfg.user_threads);
-        let (col, ids) = self.sharded(q.attr);
+        let (col, ids) = self.slot_for(q.attr, fanned_out(q));
         let pred = Predicate::range(q.lo, q.hi);
         SCRATCH.with(|s| {
             let scratch = &mut s.borrow_mut();
@@ -513,7 +566,7 @@ impl HolisticEngine {
         if !self.cfg.point_filters {
             return None;
         }
-        let (col, ids) = self.sharded(attr);
+        let (col, ids) = self.slot_for(attr, owning_shard(v));
         let k = col.plan().shard_of(v);
         let shard = col.shard(k);
         shard.ensure_point_filter();
@@ -604,19 +657,21 @@ impl QueryEngine for HolisticEngine {
         // anything commits to paying the O(N) column copy) — its price is
         // exactly that copy-and-crack.
         let guard = self.shared.cols[q.attr].read();
-        let Some(slot) = guard.as_ref().filter(|s| self.slot_live(s)) else {
+        let Some(slot) = guard.as_ref() else {
             return Some(PlanCost::cold(self.data.rows()));
         };
         let col = &slot.col;
+        let live = |k: usize| self.shards_live(slot, Some((k, k)));
         // Point screening at plan time, from the *published* filter only —
         // a lock-free epoch load plus k bit probes; `ensure_point_filter`
         // (which takes locks) is never called here. A negative probe
         // prices the query Screened: admission executes it inline instead
-        // of spending a queue slot. Probes on unbuilt filters fall through
-        // to normal range pricing.
+        // of spending a queue slot. Probes on unbuilt filters (or evicted
+        // shards) fall through to normal range pricing.
         if self.cfg.point_filters {
             if let Some(v) = pred.as_point() {
-                if col.shard(col.plan().shard_of(v)).probe_point(v) == Some(false) {
+                let k = col.plan().shard_of(v);
+                if live(k) && col.shard(k).probe_point(v) == Some(false) {
                     return Some(PlanCost::screened_point());
                 }
             }
@@ -628,12 +683,16 @@ impl QueryEngine for HolisticEngine {
             exact_hit: true,
             ..PlanCost::default()
         };
-        for (_, shard, p) in col.fan_out(pred) {
+        for (k, shard, p) in col.fan_out(pred) {
             // `piece_stats` is a lock-free Arc load out of the shard's
             // epoch-published cell; `estimate` is a pure function of it —
-            // no structure lock, no index lock, no maintenance lock.
+            // no structure lock, no index lock, no maintenance lock. An
+            // evicted shard prices as the copy-and-crack of its own rows
+            // (its last summary still knows how many); live shards keep
+            // their normal estimate.
             let shard_cost = match shard.piece_stats() {
-                Some(stats) => holix_planner::estimate(&stats, p),
+                Some(stats) if live(k) => holix_planner::estimate(&stats, p),
+                Some(stats) => PlanCost::cold(stats.len),
                 // Columns publish at build, so this is unreachable in
                 // practice — and `data.rows()` keeps even the fallback free
                 // of index locks.
@@ -655,7 +714,7 @@ impl QueryEngine for HolisticEngine {
 
     fn execute_snapshot(&self, q: &QuerySpec) -> Option<(u64, i128)> {
         let _task = self.accountant.begin_task(self.cfg.user_threads);
-        let (col, ids) = self.sharded(q.attr);
+        let (col, ids) = self.slot_for(q.attr, fanned_out(q));
         SCRATCH.with(|s| {
             let scratch = &mut s.borrow_mut();
             let (mut count, mut sum) = (0u64, 0i128);
@@ -675,7 +734,7 @@ impl QueryEngine for HolisticEngine {
 
     fn execute_collect_snapshot(&self, q: &QuerySpec) -> SnapshotCollect {
         let _task = self.accountant.begin_task(self.cfg.user_threads);
-        let (col, ids) = self.sharded(q.attr);
+        let (col, ids) = self.slot_for(q.attr, fanned_out(q));
         let pred = Predicate::range(q.lo, q.hi);
         SCRATCH.with(|s| {
             let scratch = &mut s.borrow_mut();
@@ -822,6 +881,35 @@ impl Drop for HolisticEngine {
 /// An attribute's published sharded column and its per-shard index ids.
 type SlotPair = (Arc<ShardedColumn<i64>>, Arc<[IndexId]>);
 
+/// An inclusive range of shard indices a caller touches (`None` = none).
+type ShardSpan = Option<(usize, usize)>;
+
+/// [`IndexSpace::register_actual_batch`] or its `C_potential` twin.
+type RegisterBatch = fn(
+    &IndexSpace,
+    Vec<Arc<dyn holix_core::RefinableIndex>>,
+    &[IndexId],
+) -> Vec<(IndexId, Arc<holix_core::IndexStats>)>;
+
+/// Every shard of the plan.
+fn every_shard(plan: &ShardPlan<i64>) -> ShardSpan {
+    Some((0, plan.shards() - 1))
+}
+
+/// The one shard owning value `v` (point probes, updates).
+fn owning_shard(v: i64) -> impl Fn(&ShardPlan<i64>) -> ShardSpan {
+    move |plan| {
+        let k = plan.shard_of(v);
+        Some((k, k))
+    }
+}
+
+/// The shards a range query's predicate fans out to.
+fn fanned_out(q: &QuerySpec) -> impl Fn(&ShardPlan<i64>) -> ShardSpan {
+    let (lo, hi) = (q.lo, q.hi);
+    move |plan| plan.shard_range(lo, hi)
+}
+
 /// Clones the live `(column, ids)` pair for an attribute without
 /// materialising anything — `None` for cold attributes.
 fn peek_slot(shared: &PlanShared, attr: usize) -> Option<SlotPair> {
@@ -847,6 +935,7 @@ fn maybe_replan_attr(
     policy: &ReplanPolicy,
     attr: usize,
 ) -> Option<ReplanAction> {
+    let _serial = shared.replanning[attr].lock();
     let (col, ids) = peek_slot(shared, attr)?;
     // Refresh before reading: the daemon republishes the shards it
     // refines each cycle, but a pure pending pile-up (updates with no
@@ -898,6 +987,7 @@ fn maybe_replan_attr(
 /// column at least that new; the replaced shards' registry entries are
 /// retired and the rebuilt shards registered, untouched shards keep their
 /// identity (and their accumulated daemon weights) by `Arc` sharing.
+/// Callers hold the attribute's `replanning` lock.
 fn apply_replan_action(
     shared: &PlanShared,
     space: &IndexSpace,
@@ -909,17 +999,19 @@ fn apply_replan_action(
     let Some(successor) = col.apply_replan(action) else {
         return false;
     };
-    let successor = Arc::new(successor);
-    let mut guard = shared.cols[attr].write();
-    match guard.as_ref() {
-        // The slot was evicted and rebuilt while we migrated: our
-        // predecessor is defunct, the successor is based on stale shards —
-        // abandon it (its fresh shards were never registered; updates the
-        // sealed shards rejected retry against the rebuilt slot).
-        Some(slot) if !Arc::ptr_eq(&slot.col, col) => return false,
-        None => return false,
-        Some(_) => {}
-    }
+    publish_successor(shared, space, attr, col, ids, Arc::new(successor))
+}
+
+/// The cutover half of [`apply_replan_action`]: publishes `successor`, a
+/// migration of `col`, unless the slot no longer holds `col`.
+fn publish_successor(
+    shared: &PlanShared,
+    space: &IndexSpace,
+    attr: usize,
+    col: &Arc<ShardedColumn<i64>>,
+    ids: &Arc<[IndexId]>,
+    successor: Arc<ShardedColumn<i64>>,
+) -> bool {
     // Identity-diff the shard lists: untouched shards were shared by
     // `Arc` into the successor and keep their registry ids.
     let mut new_ids: Vec<Option<IndexId>> = vec![None; successor.shard_count()];
@@ -933,6 +1025,28 @@ fn apply_replan_action(
             }
         }
     }
+    let mut guard = shared.cols[attr].write();
+    if !guard
+        .as_ref()
+        .is_some_and(|slot| Arc::ptr_eq(&slot.col, col))
+    {
+        // An eviction rebuild replaced the slot while we migrated: the
+        // successor is based on a stale column — abandon it (its fresh
+        // shards were never registered). A migrated shard the current slot
+        // still shares by `Arc` is published and must take updates again,
+        // so its ingress reopens; the rejected updates retry and land
+        // there. One the slot no longer holds stays sealed, so an update
+        // still routed to it retries against the current column.
+        for i in (0..col.shard_count()).filter(|&i| !reused[i]) {
+            let published = guard.as_ref().is_some_and(|slot| {
+                (0..slot.col.shard_count()).any(|j| Arc::ptr_eq(slot.col.shard(j), col.shard(i)))
+            });
+            if published {
+                col.shard(i).unseal_after_aborted_migration();
+            }
+        }
+        return false;
+    }
     let fresh: Vec<Arc<dyn holix_core::RefinableIndex>> = (0..successor.shard_count())
         .filter(|&j| new_ids[j].is_none())
         .map(|j| {
@@ -940,7 +1054,7 @@ fn apply_replan_action(
                 as Arc<dyn holix_core::RefinableIndex>
         })
         .collect();
-    let mut registered = space.register_actual_batch(fresh).into_iter();
+    let mut registered = space.register_actual_batch(fresh, &[]).into_iter();
     for slot_id in new_ids.iter_mut() {
         if slot_id.is_none() {
             *slot_id = registered.next().map(|(id, _)| id);
@@ -1514,43 +1628,229 @@ mod tests {
         e.stop();
     }
 
-    #[test]
-    fn partial_shard_eviction_retires_surviving_orphans() {
-        // Budget fits ~1.5 of the two 600 KiB attribute columns, so
-        // registering the second attribute evicts one of the first's two
-        // shards. The rebuild of the first attribute must retire the
-        // surviving shard's entry — a live orphan would double-count the
-        // budget and feed the daemon a dead column.
+    /// Two 2-shard attributes under a budget of ~1.5 attributes, with the
+    /// daemon stopped so piece counts only move with queries. Querying
+    /// attr 0's low shard and then attr 1 evicts attr 0's never-queried
+    /// high shard (the LFU entry) and leaves its low shard live.
+    fn partially_evicted_engine() -> HolisticEngine {
         let data = Dataset::new(uniform_table(2, 50_000, 1_000_000, 6));
         let mut cfg = HolisticEngineConfig::split_half_sharded(2, 2);
-        cfg.holistic.monitor_interval = Duration::from_millis(50);
         cfg.holistic.storage_budget = Some(900 * 1024);
         let e = HolisticEngine::new(data, cfg);
-        let narrow = |attr| QuerySpec {
-            attr,
+        e.stop();
+        for attr in [0, 1] {
+            let q = QuerySpec {
+                attr,
+                lo: 10_000,
+                hi: 20_000,
+            };
+            let oracle = scan_stats(e.data.column(attr), Predicate::range(q.lo, q.hi));
+            assert_eq!(e.execute(&q), oracle.count);
+        }
+        e
+    }
+
+    #[test]
+    fn partial_shard_eviction_rebuilds_only_the_dead_shard_a_read_touches() {
+        let e = partially_evicted_engine();
+        let (col, ids) = peek_slot(&e.shared, 0).expect("attr 0 materialised");
+        assert_eq!(col.shard_count(), 2);
+        assert_eq!(e.space().membership(ids[1]), Some(Membership::Dropped));
+        assert_ne!(e.space().membership(ids[0]), Some(Membership::Dropped));
+        let survivor = Arc::clone(col.shard(0));
+        let survivor_pieces = survivor.piece_count();
+        assert!(survivor_pieces > 1, "the survivor keeps its cracks");
+        let cut = col.plan().cuts()[0];
+        let entries = |e: &HolisticEngine| {
+            let (a, p, o, d) = e.space().membership_counts();
+            a + p + o + d
+        };
+
+        // A read touching only the live shard registers nothing and keeps
+        // the slot as it is: the dead shard outside its range triggers
+        // nothing.
+        let before = entries(&e);
+        let low = QuerySpec {
+            attr: 0,
             lo: 10_000,
             hi: 20_000,
         };
-        let oracle = |attr| scan_stats(e.data.column(attr), Predicate::range(10_000, 20_000)).count;
-        assert_eq!(e.execute(&narrow(0)), oracle(0));
-        assert_eq!(e.execute(&narrow(1)), oracle(1));
-        let (_, _, _, dropped) = e.space().membership_counts();
-        assert!(dropped >= 1, "budget never evicted (dropped={dropped})");
-        // Rebuild of attr 0 (some shard was evicted) + more churn.
+        let oracle =
+            |q: &QuerySpec| scan_stats(e.data.column(q.attr), Predicate::range(q.lo, q.hi));
+        assert_eq!(e.execute(&low), oracle(&low).count);
+        assert_eq!(entries(&e), before, "a live-only read registered shards");
+        assert!(Arc::ptr_eq(&peek_slot(&e.shared, 0).unwrap().0, &col));
+
+        // A read touching the dead shard rebuilds exactly that shard: one
+        // registration, the survivor shared by `Arc` with its cracks.
+        let high = QuerySpec {
+            attr: 0,
+            lo: cut + 1_000,
+            hi: cut + 50_000,
+        };
+        assert_eq!(e.execute(&high), oracle(&high).count);
+        assert_eq!(entries(&e), before + 1, "one rebuilt shard registered");
+        let (next, next_ids) = peek_slot(&e.shared, 0).unwrap();
+        assert!(Arc::ptr_eq(next.shard(0), &survivor), "survivor rebuilt");
+        assert_eq!(next_ids[0], ids[0], "survivor kept its registry id");
+        assert!(!Arc::ptr_eq(next.shard(1), col.shard(1)));
+        assert_eq!(survivor.piece_count(), survivor_pieces);
+        assert_eq!(e.space().membership(next_ids[1]), Some(Membership::Actual));
+        // The rebuilt shard holds exactly the base rows of its range.
+        let whole = Predicate::range(i64::MIN, i64::MAX);
+        let (_, stats) = next
+            .shard(1)
+            .select_verified(whole, &mut CrackScratch::new());
+        assert_eq!(
+            stats,
+            scan_stats(e.data.column(0), Predicate::range(cut, i64::MAX))
+        );
+
+        // Every live entry is referenced by a current attr slot (at most
+        // attrs × shards live ids), and nothing pins payload past any
+        // eviction bound.
         for _ in 0..3 {
-            assert_eq!(e.execute(&narrow(0)), oracle(0));
-            assert_eq!(e.execute(&narrow(1)), oracle(1));
+            for q in [low, high, QuerySpec { attr: 1, ..low }] {
+                assert_eq!(e.execute(&q), oracle(&q).count);
+            }
         }
-        // Every live entry must be referenced by a current attr slot: at
-        // most attrs × shards live ids; an orphaned survivor would exceed
-        // this and pin payload bytes the budget no longer sees.
         let live = e.space().live_ids().len();
         assert!(live <= 4, "orphaned registry entries: {live} live ids");
         assert!(
             e.space().bytes_used() <= 2 * 900 * 1024,
             "orphans pin payload past any eviction bound"
         );
+    }
+
+    /// An eviction rebuild that replaces the slot between a replan's
+    /// migration and its cutover abandons the replan; the migrated shard
+    /// the rebuilt column still shares reopens for updates.
+    #[test]
+    fn replan_abandoned_for_an_eviction_rebuild_reopens_shared_shards() {
+        let e = partially_evicted_engine();
+        let (col, ids) = peek_slot(&e.shared, 0).unwrap();
+        assert_eq!(e.space().membership(ids[1]), Some(Membership::Dropped));
+        let successor = col
+            .apply_replan(ReplanAction::Split { shard: 0 })
+            .expect("the live shard splits");
+        assert!(col.shard(0).is_sealed());
+
+        // A read of the dead shard rebuilds it before the cutover.
+        let cut = col.plan().cuts()[0];
+        let high = QuerySpec {
+            attr: 0,
+            lo: cut + 1_000,
+            hi: cut + 50_000,
+        };
+        let oracle =
+            |q: &QuerySpec| scan_stats(e.data.column(q.attr), Predicate::range(q.lo, q.hi));
+        assert_eq!(e.execute(&high), oracle(&high).count);
+        let (rebuilt, _) = peek_slot(&e.shared, 0).unwrap();
+        assert!(!Arc::ptr_eq(&rebuilt, &col));
+        assert!(Arc::ptr_eq(rebuilt.shard(0), col.shard(0)));
+
+        assert!(!publish_successor(
+            &e.shared,
+            e.space(),
+            0,
+            &col,
+            &ids,
+            Arc::new(successor)
+        ));
+        assert_eq!(e.plan_version(0), 0, "the stale successor was published");
+        assert!(
+            !rebuilt.shard(0).is_sealed(),
+            "a published shard stayed sealed"
+        );
+        // An update to the shared shard lands (a sealed one would make the
+        // engine retry forever).
+        let low = QuerySpec {
+            attr: 0,
+            lo: 10_000,
+            hi: 20_000,
+        };
+        e.queue_insert(0, 15_000, 50_000);
+        assert_eq!(e.execute(&low), oracle(&low).count + 1);
+    }
+
+    /// Two migrations of one shard from the same column, as two
+    /// unserialised replans would run them: the second cutover is
+    /// abandoned and must leave the shard the first one retired sealed,
+    /// so updates still routed to it retry against the successor.
+    #[test]
+    fn racing_replans_of_one_shard_leave_the_retired_shard_sealed() {
+        let e = sharded_engine(1, 40_000, 4);
         e.stop();
+        let q = QuerySpec {
+            attr: 0,
+            lo: 100_000,
+            hi: 900_000,
+        };
+        let oracle = scan_stats(e.data.column(0), Predicate::range(q.lo, q.hi)).count;
+        assert_eq!(e.execute(&q), oracle);
+        let (col, ids) = peek_slot(&e.shared, 0).unwrap();
+        let split = ReplanAction::Split { shard: 1 };
+        let first = col.apply_replan(split).expect("splittable");
+        let second = col.apply_replan(split).expect("splittable");
+        assert!(publish_successor(
+            &e.shared,
+            e.space(),
+            0,
+            &col,
+            &ids,
+            Arc::new(first)
+        ));
+        assert!(!publish_successor(
+            &e.shared,
+            e.space(),
+            0,
+            &col,
+            &ids,
+            Arc::new(second)
+        ));
+        assert_eq!(e.plan_version(0), 1);
+        assert!(
+            col.shard(1).is_sealed(),
+            "the abandoned replan reopened a retired shard"
+        );
+        // An update to the retired shard's range is not lost in it.
+        let v = col.plan().cuts()[0];
+        assert!(!col.queue_insert(v, 40_000), "the retired shard took it");
+        e.queue_insert(0, v, 40_000);
+        assert_eq!(e.execute(&q), oracle + 1);
+    }
+
+    #[test]
+    fn estimate_cost_prices_only_evicted_shards_cold() {
+        let e = partially_evicted_engine();
+        let (col, _) = peek_slot(&e.shared, 0).unwrap();
+        col.shard(0).publish_stats();
+        let cut = col.plan().cuts()[0];
+        // Only the live low shard: priced warm (the repeated predicate is
+        // an exact hit), not as the copy-and-crack of the attribute.
+        let warm = e
+            .estimate_cost(&QuerySpec {
+                attr: 0,
+                lo: 10_000,
+                hi: 20_000,
+            })
+            .unwrap();
+        assert!(warm.exact_hit, "a live-only query priced cold: {warm:?}");
+        assert_eq!(warm.crack_values, 0);
+        // Touching the dead high shard prices that shard alone cold.
+        let spanning = e
+            .estimate_cost(&QuerySpec {
+                attr: 0,
+                lo: 10_000,
+                hi: cut + 50_000,
+            })
+            .unwrap();
+        let dead_rows = col.shard(1).len() as u64;
+        assert!(!spanning.exact_hit);
+        assert_eq!(spanning.crack_values, dead_rows);
+        assert!(spanning.crack_values < e.data.rows() as u64);
+        // Pricing never rebuilds.
+        assert!(Arc::ptr_eq(&peek_slot(&e.shared, 0).unwrap().0, &col));
     }
 
     #[test]

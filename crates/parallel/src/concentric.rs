@@ -335,7 +335,13 @@ mod tests {
         for pivot in [0i64, 250, 500, 999, 1_000] {
             let mut v1 = base.clone();
             let mut r1: Vec<RowId> = (0..base.len() as u32).collect();
-            let s1 = crate::partition::parallel_partition(&mut v1, &mut r1, pivot, 4);
+            let s1 = crate::partition::parallel_partition(
+                &mut v1,
+                &mut r1,
+                pivot,
+                4,
+                &mut holix_cracking::CrackScratch::new(),
+            );
 
             let mut v2 = base.clone();
             let mut r2: Vec<RowId> = (0..base.len() as u32).collect();

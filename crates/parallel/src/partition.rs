@@ -20,19 +20,22 @@ use holix_storage::types::{CrackValue, RowId};
 pub const DEFAULT_MIN_PARALLEL: usize = 1 << 16;
 
 /// Partitions `vals`/`rows` around `pivot` with up to `threads` threads.
-/// Returns the split point (count of values `< pivot`).
+/// Returns the split point (count of values `< pivot`). The calling thread
+/// partitions the first slice itself in `scratch` (the caller's reusable
+/// crack scratch — the whole piece goes through it when one thread
+/// suffices); only the other slices' spawned threads allocate their own.
 pub fn parallel_partition<V: CrackValue>(
     vals: &mut [V],
     rows: &mut [RowId],
     pivot: V,
     threads: usize,
+    scratch: &mut CrackScratch<V>,
 ) -> usize {
     debug_assert_eq!(vals.len(), rows.len());
     let n = vals.len();
     let threads = threads.max(1);
     if threads == 1 || n < 2 * threads {
-        let mut scratch = CrackScratch::new();
-        return crack_in_two_oop(vals, rows, pivot, &mut scratch);
+        return crack_in_two_oop(vals, rows, pivot, scratch);
     }
 
     // Phase 1: partition contiguous slices independently.
@@ -52,9 +55,10 @@ pub fn parallel_partition<V: CrackValue>(
             rrest = rb;
             off += take;
         }
+        let mut jobs = jobs.into_iter();
+        let (off0, v0, r0) = jobs.next().expect("n >= 2 * threads yields a first slice");
         let results = crossbeam::thread::scope(|s| {
             let handles: Vec<_> = jobs
-                .into_iter()
                 .map(|(off, v, r)| {
                     s.spawn(move |_| {
                         let mut scratch = CrackScratch::new();
@@ -62,6 +66,7 @@ pub fn parallel_partition<V: CrackValue>(
                     })
                 })
                 .collect();
+            splits.push((off0, crack_in_two_oop(v0, r0, pivot, scratch)));
             handles
                 .into_iter()
                 .map(|h| h.join().expect("partition worker panicked"))
@@ -202,7 +207,13 @@ mod tests {
     fn check(base: &[i64], pivot: i64, threads: usize) {
         let mut vals = base.to_vec();
         let mut rows: Vec<RowId> = (0..base.len() as u32).collect();
-        let split = parallel_partition(&mut vals, &mut rows, pivot, threads);
+        let split = parallel_partition(
+            &mut vals,
+            &mut rows,
+            pivot,
+            threads,
+            &mut CrackScratch::new(),
+        );
         assert!(is_partitioned(&vals, split, pivot), "t={threads}");
         assert!(
             vals.iter().zip(&rows).all(|(&v, &r)| base[r as usize] == v),
@@ -256,7 +267,7 @@ mod tests {
         ) {
             let mut vals = base.clone();
             let mut rows: Vec<RowId> = (0..base.len() as u32).collect();
-            let split = parallel_partition(&mut vals, &mut rows, pivot, threads);
+            let split = parallel_partition(&mut vals, &mut rows, pivot, threads, &mut CrackScratch::new());
             prop_assert_eq!(split, base.iter().filter(|&&v| v < pivot).count());
             prop_assert!(is_partitioned(&vals, split, pivot));
         }

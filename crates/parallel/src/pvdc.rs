@@ -9,7 +9,7 @@
 
 use crate::partition::{parallel_partition, DEFAULT_MIN_PARALLEL};
 use holix_cracking::column::PartitionFn;
-use holix_cracking::CrackerColumn;
+use holix_cracking::{CrackScratch, CrackerColumn};
 use holix_storage::types::{CrackValue, RowId};
 use std::sync::Arc;
 
@@ -23,14 +23,16 @@ pub fn parallel_partition_fn_with_threshold<V: CrackValue>(
     threads: usize,
     min_parallel: usize,
 ) -> PartitionFn<V> {
-    Arc::new(move |vals: &mut [V], rows: &mut [RowId], pivot: V| {
-        let t = if vals.len() >= min_parallel {
-            threads
-        } else {
-            1
-        };
-        parallel_partition(vals, rows, pivot, t)
-    })
+    Arc::new(
+        move |vals: &mut [V], rows: &mut [RowId], pivot: V, scratch: &mut CrackScratch<V>| {
+            let t = if vals.len() >= min_parallel {
+                threads
+            } else {
+                1
+            };
+            parallel_partition(vals, rows, pivot, t, scratch)
+        },
+    )
 }
 
 /// Builds a PVDC cracker column over `base` that cracks large pieces with
