@@ -141,10 +141,24 @@ fn main() {
         .collect();
 
     // Warmup: crack the hot regions with each bed's own telemetry setting
-    // armed, so the enabled bed's daemon/cracking instrumentation fires at
-    // least once before exposition is checked.
-    for bed in &beds {
+    // armed. The enabled bed goes last and stays armed: its daemon has no
+    // index to refine before its first query, so every cycle it runs
+    // records into the registry.
+    for bed in beds.iter().rev() {
         run_rep(bed, &traffic, &sorted);
+    }
+    // The `engine_` exposition series come only from daemon cycles, and a
+    // saturated warmup can leave the daemon no idle context to run one.
+    // Wait (bounded) for the enabled bed's first cycle before stopping it.
+    let enabled = beds.iter().find(|b| b.telemetry_on).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while enabled.engine.cycles().is_empty() {
+        assert!(
+            Instant::now() < deadline,
+            "the enabled bed's daemon ran no tuning cycle within 10 s of warmup, \
+             so the exposition cannot carry the `engine_` layer"
+        );
+        std::thread::sleep(monitor_interval);
     }
     // Daemons off for the measured phase (refine workers must not confound
     // the A/B), fresh measurement windows past the cold start.

@@ -1,14 +1,15 @@
 //! Criterion micro-benchmarks — ablations for the design decisions in
 //! DESIGN.md §2: crack kernels (branchy vs vectorized out-of-place vs
-//! parallel), AVL vs `BTreeMap` cracker-index lookups, weight-heap updates,
-//! and Ripple insertion vs naive re-cracking.
+//! parallel), the snapshot lane filter (dispatched vs portable), AVL vs
+//! `BTreeMap` cracker-index lookups, weight-heap updates, and Ripple
+//! insertion vs naive re-cracking.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use holix_core::weight_heap::WeightHeap;
 use holix_cracking::avl::Avl;
 use holix_cracking::crack::crack_in_two;
 use holix_cracking::index::CrackerIndex;
-use holix_cracking::kernels::{self, pack_bits, ScalarUnpacker};
+use holix_cracking::kernels;
 use holix_cracking::updates::ripple_insert;
 use holix_cracking::vectorized::{crack_in_three_oop, crack_in_two_oop, CrackScratch};
 use holix_parallel::{concentric_partition, parallel_partition};
@@ -83,57 +84,16 @@ fn bench_crack_kernels(c: &mut Criterion) {
         });
     }
 
-    // Segment-decode ablation: the scalar shift/mask `Unpacker` walk the
-    // snapshot edge scans used through PR 8, against the block-at-a-time
-    // kernels (with AVX2 under runtime dispatch) that replaced it.
-    const BITS: u32 = 20;
-    let mut rng = StdRng::seed_from_u64(5);
-    let mut offs: Vec<u64> = (0..N).map(|_| rng.random_range(0..1u64 << BITS)).collect();
-    let packed_unsorted = pack_bits(offs.iter().copied(), N, BITS);
-    offs.sort_unstable();
-    let packed = pack_bits(offs.iter().copied(), N, BITS);
-    g.bench_function("unpack_scalar", |b| {
-        b.iter(|| {
-            let mut un = ScalarUnpacker::new(&packed_unsorted, BITS);
-            let mut acc = 0u64;
-            for _ in 0..N {
-                acc = acc.wrapping_add(un.next());
-            }
-            black_box(acc)
-        })
+    // Snapshot edge-scan lane filter: the runtime-dispatched kernel (AVX2
+    // where the CPU has it, unless `HOLIX_NO_SIMD` is set) against the
+    // portable autovectorised loop it falls back to, on plain i64 lanes
+    // with the middle half of the value domain qualifying.
+    let (lo, hi) = (Some(250_000), Some(750_000));
+    g.bench_function("filter_portable", |b| {
+        b.iter(|| black_box(kernels::filter_count_portable(&vals, lo, hi)))
     });
-    g.bench_function("unpack_block", |b| {
-        b.iter(|| {
-            let mut acc = 0u64;
-            kernels::decode_range(&packed_unsorted, BITS, N, 0, N, |v| {
-                acc = acc.wrapping_add(v);
-            });
-            black_box(acc)
-        })
-    });
-    // Middle half of the sorted offset domain qualifies — the scalar
-    // baseline is the PR 8 scan loop (walk from 0, early exit past hi).
-    let (lo, hi) = (Some(1u64 << (BITS - 2)), Some(3u64 << (BITS - 2)));
-    g.bench_function("filter_scalar", |b| {
-        b.iter(|| {
-            let mut un = ScalarUnpacker::new(&packed, BITS);
-            let mut count = 0u64;
-            let mut sum = 0u128;
-            for _ in 0..N {
-                let v = un.next();
-                if hi.is_some_and(|h| v >= h) {
-                    break;
-                }
-                if lo.is_none_or(|l| v >= l) {
-                    count += 1;
-                    sum += v as u128;
-                }
-            }
-            black_box((count, sum))
-        })
-    });
-    g.bench_function("filter_packed", |b| {
-        b.iter(|| black_box(kernels::filter_count_sorted(&packed, BITS, N, 0, N, lo, hi)))
+    g.bench_function("filter_dispatched", |b| {
+        b.iter(|| black_box(kernels::filter_count(&vals, lo, hi)))
     });
     g.finish();
 }

@@ -36,8 +36,6 @@ pub struct CycleRecord {
     pub snapshot_refreshes: u64,
     /// Point membership filters rebuilt after delete churn this cycle.
     pub filter_rebuilds: u64,
-    /// Plain snapshot pieces re-encoded (FOR / delta / RLE) this cycle.
-    pub segment_morphs: u64,
 }
 
 /// Handle to the running holistic indexing thread.
@@ -180,7 +178,6 @@ fn daemon_loop(
             busy: reports.iter().map(|r| r.busy).sum(),
             snapshot_refreshes: reports.iter().map(|r| r.snapshot_refreshes).sum(),
             filter_rebuilds: reports.iter().map(|r| r.filter_rebuilds).sum(),
-            segment_morphs: reports.iter().map(|r| r.segment_morphs).sum(),
         };
         total_refinements.fetch_add(record.refinements, Ordering::Relaxed);
         // Mirror the cycle record into the process-wide registry so a live
@@ -192,7 +189,6 @@ fn daemon_loop(
             holix_telemetry::counter!("engine_snapshot_refreshes_total")
                 .add(record.snapshot_refreshes);
             holix_telemetry::counter!("engine_filter_rebuilds_total").add(record.filter_rebuilds);
-            holix_telemetry::counter!("engine_segment_morphs_total").add(record.segment_morphs);
             holix_telemetry::counter!("engine_worker_ns_total")
                 .add(record.worker_time_total.as_nanos() as u64);
             holix_telemetry::gauge!("engine_cycle_workers").set(record.workers as i64);

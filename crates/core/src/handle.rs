@@ -9,7 +9,6 @@ use holix_cracking::{CrackScratch, CrackerColumn, RefineOutcome};
 use holix_storage::types::CrackValue;
 use parking_lot::Mutex;
 use rand::RngCore;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Outcome of a type-erased refinement step.
@@ -61,22 +60,6 @@ pub trait RefinableIndex: Send + Sync {
     fn maybe_rebuild_filter(&self) -> bool {
         false
     }
-    /// Background segment morphing: re-encode one stable plain snapshot
-    /// piece (FOR / delta / RLE) so the storage budget charges encoded
-    /// bytes instead of full-width copies. Returns `true` when a piece was
-    /// morphed. Default: no snapshot surface.
-    fn morph_cold_segments(&self) -> bool {
-        false
-    }
-    /// [`RefinableIndex::morph_cold_segments`] without any rate gate: under
-    /// budget pressure the idle workers morph imminent-eviction attributes
-    /// *now* — shrinking their footprint is what can still save them, so
-    /// the usual every-Nth-activation pacing would be self-defeating.
-    /// Returns `true` when a piece was morphed. Default: no snapshot
-    /// surface.
-    fn morph_cold_segments_now(&self) -> bool {
-        false
-    }
 }
 
 /// [`RefinableIndex`] adapter around a [`CrackerColumn`].
@@ -86,16 +69,7 @@ pub trait RefinableIndex: Send + Sync {
 pub struct CrackerHandle<V> {
     col: Arc<CrackerColumn<V>>,
     scratch_pool: Mutex<Vec<CrackScratch<V>>>,
-    morph_tick: AtomicU64,
 }
-
-/// Morph attempts happen on every `MORPH_ATTEMPT_PERIOD`-th worker
-/// activation of a handle, not every one. Encoding sorts the candidate
-/// piece — by far the most expensive idle action — and on an index that is
-/// still converging (refinements re-staling the snapshot every cycle) an
-/// every-activation morph would dominate the daemon's cycle time. A quiet
-/// index still drains its plain pieces within a few monitor intervals.
-const MORPH_ATTEMPT_PERIOD: u64 = 4;
 
 impl<V: CrackValue> CrackerHandle<V> {
     /// Wraps a shared cracker column.
@@ -103,7 +77,6 @@ impl<V: CrackValue> CrackerHandle<V> {
         CrackerHandle {
             col,
             scratch_pool: Mutex::new(Vec::new()),
-            morph_tick: AtomicU64::new(0),
         }
     }
 
@@ -166,21 +139,6 @@ impl<V: CrackValue> RefinableIndex for CrackerHandle<V> {
 
     fn maybe_rebuild_filter(&self) -> bool {
         self.col.maybe_rebuild_point_filter()
-    }
-
-    fn morph_cold_segments(&self) -> bool {
-        if !self
-            .morph_tick
-            .fetch_add(1, Ordering::Relaxed)
-            .is_multiple_of(MORPH_ATTEMPT_PERIOD)
-        {
-            return false;
-        }
-        self.col.morph_cold_segments()
-    }
-
-    fn morph_cold_segments_now(&self) -> bool {
-        self.col.morph_cold_segments()
     }
 }
 

@@ -453,8 +453,6 @@ impl IndexSpace {
 
     /// Fraction of the storage budget currently charged: `0.0` with no
     /// budget configured, `>= 1.0` when the space is at or over budget.
-    /// Workers use this to switch background morphing from pure coldness
-    /// order to the attributes whose eviction is imminent.
     pub fn budget_pressure(&self) -> f64 {
         let Some(budget) = self.config.storage_budget else {
             return 0.0;
@@ -463,22 +461,6 @@ impl IndexSpace {
             return 1.0;
         }
         self.bytes_used() as f64 / budget as f64
-    }
-
-    /// Up to `k` live indices in eviction order — the LFU victims
-    /// [`IndexSpace::make_room`] would pick next. Under budget pressure the
-    /// idle workers morph exactly these first: shrinking an
-    /// imminent-eviction attribute's footprint is what can still save it.
-    pub fn eviction_candidates(&self, k: usize) -> Vec<(IndexId, Arc<dyn RefinableIndex>)> {
-        let entries = self.entries.read();
-        let mut live: Vec<(u64, IndexId, Arc<dyn RefinableIndex>)> = entries
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.membership() != Membership::Dropped)
-            .filter_map(|(i, e)| e.live_handle().map(|h| (e.stats.queries(), i, h)))
-            .collect();
-        live.sort_by_key(|&(q, i, _)| (q, i));
-        live.into_iter().take(k).map(|(_, i, h)| (i, h)).collect()
     }
 
     /// Test-only: parks the caller on the maintenance weight-heap mutex so
@@ -750,29 +732,21 @@ mod tests {
         assert_eq!(space.membership(kept), Some(Membership::Actual));
     }
 
-    /// Budget pressure is the charged fraction of the budget, and the
-    /// eviction candidates come back in LFU order — exactly the victims
-    /// `make_room` would pick, so pressured morphing targets the right
-    /// indices.
+    /// Budget pressure is the charged fraction of the budget.
     #[test]
-    fn budget_pressure_and_eviction_order() {
+    fn budget_pressure_is_the_charged_budget_fraction() {
         assert_eq!(
             space_with(Strategy::W4Random, None).budget_pressure(),
             0.0,
             "no budget, no pressure"
         );
         let space = space_with(Strategy::W4Random, Some(1_000_000));
-        let (a, _) = space.register_actual(make_handle(10_000, "a"));
-        let (b, _) = space.register_actual(make_handle(10_000, "b"));
-        for _ in 0..3 {
-            space.record_user_query(a, false, 1);
-        }
+        space.register_actual(make_handle(10_000, "a"));
+        space.register_actual(make_handle(10_000, "b"));
         let p = space.budget_pressure();
         assert!(p > 0.0 && p < 1.0, "two small indices: {p}");
-        let cands = space.eviction_candidates(10);
-        assert_eq!(cands.len(), 2);
-        assert_eq!(cands[0].0, b, "cold index must lead the eviction order");
-        assert_eq!(cands[1].0, a);
+        let want = space.bytes_used() as f64 / 1_000_000.0;
+        assert!((p - want).abs() < 1e-12, "pressure {p} vs charged {want}");
     }
 
     /// Regression: a stale heap entry for an evicted (Dropped) id — the

@@ -26,24 +26,11 @@ pub struct WorkerReport {
     /// Point membership filters rebuilt after delete churn degraded
     /// their false-positive rate.
     pub filter_rebuilds: u64,
-    /// Stable plain snapshot pieces re-encoded (FOR / delta / RLE) in the
-    /// background to shrink `snapshot_bytes`.
-    pub segment_morphs: u64,
     /// Wall time spent in the IdleFunction.
     pub duration: Duration,
     /// Whether an index was available to work on.
     pub picked: bool,
 }
-
-/// Charged-bytes fraction of the storage budget above which segment
-/// morphing retargets the imminent-eviction indices (ROADMAP compression
-/// follow-up (d)).
-const BUDGET_PRESSURE_MORPH: f64 = 0.9;
-
-/// How many LFU eviction candidates a pressured activation tries to morph
-/// (stops at the first success — one encode per activation, like the
-/// unpressured path).
-const EVICTION_MORPH_CANDIDATES: usize = 2;
 
 /// Runs one IdleFunction instance: pick an index, refine it `x` times with
 /// random pivots, update statistics, stop early once it turns optimal.
@@ -76,37 +63,13 @@ pub fn idle_function(
     }
     // End-of-activation maintenance: refresh one stale snapshot piece (so
     // the first unlucky reader stops paying the copy), rebuild the point
-    // membership filter if delete churn degraded it, re-encode one stable
-    // plain snapshot piece, and republish the plan-time statistics the
-    // refinements invalidated.
-    let refreshed = handle.refresh_snapshot();
-    if refreshed {
+    // membership filter if delete churn degraded it, and republish the
+    // plan-time statistics the refinements invalidated.
+    if handle.refresh_snapshot() {
         report.snapshot_refreshes += 1;
     }
     if handle.maybe_rebuild_filter() {
         report.filter_rebuilds += 1;
-    }
-    // Segment morphing is budget-pressure-aware: near the storage budget
-    // the coldest indices are about to be evicted, and shrinking *their*
-    // footprint (not the picked — usually hottest — index's) is what can
-    // still save them, so the morph retargets the LFU eviction order and
-    // skips the usual every-Nth-activation pacing. Below the threshold it
-    // stays the picked handle's paced coldness-order morph.
-    if space.budget_pressure() >= BUDGET_PRESSURE_MORPH {
-        for (_, victim) in space.eviction_candidates(EVICTION_MORPH_CANDIDATES) {
-            if victim.morph_cold_segments_now() {
-                report.segment_morphs += 1;
-                break;
-            }
-        }
-    } else if !refreshed && handle.morph_cold_segments() {
-        // One snapshot reorganisation per activation: a refresh already
-        // lands its copies in encoded form (so nothing it produced is
-        // waiting on the morpher), and refresh + morph in the same tick
-        // would pay two full sort+encode passes — during heavy refinement
-        // that doubles the cycle wall time for pieces the next crack will
-        // split again anyway. Morphing waits for a granularity-quiet tick.
-        report.segment_morphs += 1;
     }
     handle.publish_plan_stats();
     report.duration = start.elapsed();
@@ -240,100 +203,6 @@ mod tests {
         );
         // The fresh filter still proves absence for never-inserted values.
         assert_eq!(col.probe_point(-5), Some(false));
-    }
-
-    #[test]
-    fn idle_function_morphs_cold_segments() {
-        // A snapshot full of big plain pieces over a narrow domain: idle
-        // workers must re-encode them in the background, shrinking
-        // `snapshot_bytes` without any reader paying for it.
-        let space = IndexSpace::new(HolisticConfig::default());
-        let base: Vec<i64> = (0..100_000i64).map(|i| i % 1_000).collect();
-        let col = Arc::new(CrackerColumn::from_base("a", &base));
-        let mut scratch = holix_cracking::CrackScratch::new();
-        col.snapshot_scan(
-            holix_storage::select::Predicate::range(0, 1_000),
-            &mut scratch,
-        );
-        let plain_bytes = col.snapshot_bytes();
-        space.register_actual(Arc::new(CrackerHandle::new(Arc::clone(&col))));
-        let mut rng = StdRng::seed_from_u64(13);
-        let mut morphs = 0;
-        for _ in 0..200 {
-            let r = idle_function(&space, 8, 8, &mut rng);
-            morphs += r.segment_morphs;
-            // Run to convergence: snapshot refreshes now land their copies
-            // back in *encoded* form (encoded refresh), so later
-            // activations can no longer re-plain what the gated morphs
-            // encoded — the byte win must survive the whole loop.
-            if !r.picked {
-                break;
-            }
-        }
-        assert!(morphs > 0, "workers never morphed a segment");
-        col.snapshot_gc();
-        assert!(
-            col.snapshot_bytes() < plain_bytes,
-            "morphing did not shrink snapshot bytes: {} vs {plain_bytes}",
-            col.snapshot_bytes()
-        );
-        // Scans on the morphed snapshot stay exact.
-        let pred = holix_storage::select::Predicate::range(100, 900);
-        let scan = col.snapshot_scan(pred, &mut scratch);
-        let oracle = holix_storage::select::scan_stats(&base, pred);
-        assert_eq!((scan.count, scan.sum), (oracle.count, oracle.sum));
-    }
-
-    #[test]
-    fn budget_pressure_morphs_imminent_eviction_victims_first() {
-        // Two equal columns over a narrow domain with big plain snapshot
-        // pieces. The HOT one soaks up user queries (so `pick` targets it
-        // and the COLD one is the LFU eviction victim); the budget is
-        // sized so the pair sits at ~95% pressure. The maintenance block
-        // must morph the COLD column immediately — eviction order, no
-        // activation pacing — even though it never picked it.
-        let base: Vec<i64> = (0..60_000i64).map(|i| i % 1_000).collect();
-        let cold = Arc::new(CrackerColumn::from_base("cold", &base));
-        let hot = Arc::new(CrackerColumn::from_base("hot", &base));
-        let mut scratch = holix_cracking::CrackScratch::new();
-        for col in [&cold, &hot] {
-            col.snapshot_scan(
-                holix_storage::select::Predicate::range(0, 1_000),
-                &mut scratch,
-            );
-        }
-        let cold_handle = Arc::new(CrackerHandle::new(Arc::clone(&cold)));
-        let hot_handle = Arc::new(CrackerHandle::new(Arc::clone(&hot)));
-        use crate::handle::RefinableIndex;
-        let used = cold_handle.payload_bytes() + hot_handle.payload_bytes();
-        let space = IndexSpace::new(HolisticConfig {
-            storage_budget: Some(used * 100 / 95),
-            ..HolisticConfig::default()
-        });
-        space.register_actual(cold_handle);
-        let (hot_id, _) = space.register_actual(hot_handle);
-        for _ in 0..10 {
-            space.record_user_query(hot_id, false, 1);
-        }
-        let pressure = space.budget_pressure();
-        assert!(pressure >= 0.9, "setup not under pressure: {pressure}");
-        let cold_bytes = cold.snapshot_bytes();
-        let mut rng = StdRng::seed_from_u64(17);
-        let mut morphs = 0;
-        for _ in 0..20 {
-            let r = idle_function(&space, 4, 8, &mut rng);
-            morphs += r.segment_morphs;
-            if morphs > 0 || !r.picked {
-                break;
-            }
-        }
-        assert!(morphs > 0, "pressure never forced a morph");
-        cold.snapshot_gc();
-        assert!(
-            cold.snapshot_bytes() < cold_bytes,
-            "the eviction victim was not the morph target: {} vs {cold_bytes}",
-            cold.snapshot_bytes()
-        );
     }
 
     #[test]

@@ -441,7 +441,6 @@ impl<V: CrackValue> CrackerColumn<V> {
                     .map(|p| SnapPieceStat {
                         hi_key: p.hi_key,
                         len: p.len(),
-                        plain: p.is_plain(),
                     })
                     .collect()
             })
@@ -918,7 +917,7 @@ impl<V: CrackValue> CrackerColumn<V> {
             };
             let spans: Vec<SpliceSpan<V>> = spans
                 .into_iter()
-                .map(|(a, b)| (a, b, self.copy_live_pieces(a, b, false, false)))
+                .map(|(a, b)| (a, b, self.copy_live_pieces(a, b, false)))
                 .collect();
             self.splice_multi_and_publish(spans, Some(token));
         } else {
@@ -1018,7 +1017,7 @@ impl<V: CrackValue> CrackerColumn<V> {
             // the pending overlay only together with a republished snapshot
             // that already contains it.
             if self.snap.is_published() {
-                let pieces = self.copy_live_pieces(None, None, false, false);
+                let pieces = self.copy_live_pieces(None, None, false);
                 self.splice_and_publish(None, None, pieces, Some(token));
             } else {
                 self.pending.lock().finish_merge(token);
@@ -1315,8 +1314,8 @@ impl<V: CrackValue> CrackerColumn<V> {
         // [`CrackerColumn::maybe_rebuild_point_filter`], never resized.
         let expected = snap.len() + self.pending.lock().len() + 1024;
         let filter = Arc::new(PointFilter::with_capacity(expected));
-        for piece in snap.pieces() {
-            piece.for_each(|v| filter.insert(v.as_i64()));
+        for &v in snap.pieces().iter().flat_map(SnapPiece::values) {
+            filter.insert(v.as_i64());
         }
         let p = self.pending.lock();
         p.for_each_unmerged(
@@ -1346,7 +1345,7 @@ impl<V: CrackValue> CrackerColumn<V> {
         if self.snap.is_published() {
             return; // lost the build race
         }
-        let pieces = self.copy_live_pieces(None, None, false, false);
+        let pieces = self.copy_live_pieces(None, None, false);
         self.splice_and_publish(None, None, pieces, None);
     }
 
@@ -1386,8 +1385,8 @@ impl<V: CrackValue> CrackerColumn<V> {
         }
         // Anchors of the point range [v, succ(v)): exactly the snapshot
         // piece(s) the bound falls into.
-        let (a, b, encoded) = self.snapshot_anchors(v, Self::succ(v));
-        let mid = self.copy_live_pieces(a, b, true, encoded);
+        let (a, b) = self.snapshot_anchors(v, Self::succ(v));
+        let mid = self.copy_live_pieces(a, b, true);
         self.splice_and_publish(a, b, mid, None);
     }
 
@@ -1418,7 +1417,7 @@ impl<V: CrackValue> CrackerColumn<V> {
         // copies the same pieces back (empty pieces are skipped), and a
         // key-only check would pick that piece forever.
         let mut lo_key: Option<V> = None;
-        let mut best: Option<(usize, Option<V>, Option<V>, bool)> = None;
+        let mut best: Option<(usize, Option<V>, Option<V>)> = None;
         for piece in snap_pieces {
             let (hi_key, len) = (piece.hi_key, piece.len);
             let from = match lo_key {
@@ -1444,20 +1443,17 @@ impl<V: CrackValue> CrackerColumn<V> {
             let interior = &stats.bounds[from..to];
             let split = interior.partition_point(|&(_, p)| p <= pos_lo);
             let refreshable = split < interior.len() && interior[split].1 < pos_hi;
-            if refreshable && best.as_ref().is_none_or(|&(l, _, _, _)| len > l) {
-                best = Some((len, lo_key, hi_key, !piece.plain));
+            if refreshable && best.as_ref().is_none_or(|&(l, _, _)| len > l) {
+                best = Some((len, lo_key, hi_key));
             }
             lo_key = hi_key;
         }
-        let Some((_, a, b, encoded)) = best else {
+        let Some((_, a, b)) = best else {
             return false;
         };
         let before = self.snapshot_piece_count();
         let _shared = self.structure.read();
-        // A refresh of an already-morphed piece goes straight back into
-        // encoded form — the copies land compressed, so the background
-        // refresh loop no longer re-plains what the morpher encoded.
-        let mid = self.copy_live_pieces(a, b, true, encoded);
+        let mid = self.copy_live_pieces(a, b, true);
         self.splice_and_publish(a, b, mid, None);
         drop(_shared);
         // Republish immediately so a refresh loop converges on fresh
@@ -1475,77 +1471,6 @@ impl<V: CrackValue> CrackerColumn<V> {
         refreshed
     }
 
-    /// Plain snapshot pieces shorter than this are never re-encoded: the
-    /// fixed per-segment overhead dominates and edge refreshes would churn
-    /// them right back to plain.
-    pub const MORPH_MIN: usize = 256;
-
-    /// Background segment morphing (an idle holistic worker's job): picks
-    /// the largest *plain* snapshot piece of at least
-    /// [`CrackerColumn::MORPH_MIN`] values whose sorted form compresses
-    /// (FOR / delta / RLE — see [`Segment::encoded`]) and republishes it as
-    /// an encoded segment through the same COW-splice a refresh uses, so
-    /// readers never block and `snapshot_bytes` drops by exactly the saved
-    /// backing size. Returns `true` when a piece was morphed (`false`: no
-    /// snapshot, or no remaining plain piece compresses).
-    ///
-    /// Runs under `structure` *shared*, which excludes Ripple merges — the
-    /// only multiset-changing writers — for the copy-encode-splice window:
-    /// concurrent cracks merely permute values inside live pieces and never
-    /// touch the immutable snapshot, and a racing per-bound refresh can at
-    /// worst overwrite this morph's piece with finer plain copies of the
-    /// *same* multiset (granularity lost, never correctness).
-    pub fn morph_cold_segments(&self) -> bool {
-        if !self.snap.is_published() {
-            return false;
-        }
-        let _shared = self.structure.read();
-        // Candidate plain pieces, largest first. Values are copied and
-        // encoded LAZILY, one candidate at a time — most calls stop at the
-        // first (largest) piece, so a call never materialises more than
-        // one piece's values even over a snapshot full of plain pieces.
-        // The pin stays held across the encode + splice: it only delays
-        // reclamation of retired segments until the next gc.
-        let guard = self.snap.epochs().pin();
-        let Some(snap) = self.snap.load(&guard) else {
-            return false;
-        };
-        let pieces = snap.pieces();
-        let mut order: Vec<usize> = (0..pieces.len())
-            .filter(|&i| pieces[i].is_plain() && pieces[i].len() >= Self::MORPH_MIN)
-            .collect();
-        order.sort_by_key(|&i| std::cmp::Reverse(pieces[i].len()));
-        let mut morphed = false;
-        for i in order {
-            let a = if i == 0 { None } else { pieces[i - 1].hi_key };
-            let b = pieces[i].hi_key;
-            let vals = pieces[i]
-                .plain_values()
-                .expect("candidate piece is plain")
-                .to_vec();
-            let n = vals.len();
-            let seg = Segment::encoded(vals, Arc::clone(&self.snap_bytes));
-            if seg.is_plain() {
-                continue; // no scheme beats plain here — try the next piece
-            }
-            let piece = SnapPiece::new(b, Arc::new(seg), 0, n);
-            self.splice_and_publish(a, b, vec![piece], None);
-            morphed = true;
-            break;
-        }
-        drop(guard);
-        drop(_shared);
-        if morphed {
-            // Republish stats so the planner's decode-cost term and the
-            // staleness pick see the encoded piece immediately.
-            self.publish_stats();
-            if holix_telemetry::metrics_enabled() {
-                holix_telemetry::counter!("cracking_segment_morphs_total").inc();
-            }
-        }
-        morphed
-    }
-
     /// The published snapshot's boundary keys bracketing `[lo, hi)`:
     /// `a` = greatest snapshot boundary `<= lo` (`None` = column-min side),
     /// `b` = least snapshot boundary `>= hi` (`None` = column-max side).
@@ -1553,39 +1478,19 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// never removed and snapshots are built from live pieces), so both
     /// anchors are exact lookups in the live index. Refreshes only ever
     /// *refine* piece tables, so anchors stay valid splice points across
-    /// them; a racing morph can merge pieces and drop an anchor, and the
-    /// splice then skips the span ([`CrackerColumn::splice_multi_and_publish`]).
+    /// concurrent refreshes ([`CrackerColumn::splice_multi_and_publish`]
+    /// still skips a span whose anchor is gone).
     ///
     /// Caller holds a structure lock (any mode) so merges cannot run. The
     /// snapshot is read under the pending mutex *without* an epoch pin
     /// (publishers must never spin on reader-held pin slots while holding
     /// the structure lock — see [`SnapshotCell::load_publisher`]).
-    /// Besides the anchors, reports whether any replaced piece of the span
-    /// is encoded — the refresh then re-encodes its copies instead of
-    /// spilling them plain ([`CrackerColumn::copy_live_pieces`]).
-    fn snapshot_anchors(&self, lo: V, hi: V) -> (Option<V>, Option<V>, bool) {
+    fn snapshot_anchors(&self, lo: V, hi: V) -> (Option<V>, Option<V>) {
         let _p = self.pending.lock();
-        let Some(snap) = self.snap.load_publisher() else {
-            return (None, None, false);
-        };
-        let (a, b) = Self::anchors_in(snap.pieces(), lo, hi);
-        (a, b, Self::span_has_encoded(snap.pieces(), lo, hi))
-    }
-
-    /// `true` when any snapshot piece intersecting `[lo, hi)` is encoded.
-    fn span_has_encoded(pieces: &[SnapPiece<V>], lo: V, hi: V) -> bool {
-        let i = pieces.partition_point(|p| p.hi_key.is_some_and(|k| k <= lo));
-        for p in &pieces[i..] {
-            if !p.is_plain() {
-                return true;
-            }
-            match p.hi_key {
-                None => break,
-                Some(k) if k >= hi => break,
-                _ => {}
-            }
+        match self.snap.load_publisher() {
+            None => (None, None),
+            Some(snap) => Self::anchors_in(snap.pieces(), lo, hi),
         }
-        false
     }
 
     /// [`CrackerColumn::snapshot_anchors`] over an already-loaded piece
@@ -1612,20 +1517,10 @@ impl<V: CrackValue> CrackerColumn<V> {
     /// With `latched`, each piece is copied under its read latch (caller
     /// holds `structure` shared; concurrent cracks of *other* pieces
     /// proceed); otherwise the caller holds `structure` exclusively.
-    /// With `encode`, copies of at least [`CrackerColumn::MORPH_MIN`]
-    /// values go straight through [`Segment::encoded`] — a refresh that
-    /// replaces already-morphed pieces keeps them compressed instead of
-    /// re-materialising plain and waiting for the morpher (no transient
-    /// footprint spike). Empty pieces are skipped — scans treat the
-    /// uncovered key as part of the neighbouring piece's range, which only
-    /// widens the conservative edge-filter check.
-    fn copy_live_pieces(
-        &self,
-        a: Option<V>,
-        b: Option<V>,
-        latched: bool,
-        encode: bool,
-    ) -> Vec<SnapPiece<V>> {
+    /// Empty pieces are skipped — scans treat the uncovered key as part of
+    /// the neighbouring piece's range, which only widens the conservative
+    /// edge-filter check.
+    fn copy_live_pieces(&self, a: Option<V>, b: Option<V>, latched: bool) -> Vec<SnapPiece<V>> {
         let mut out = Vec::new();
         let mut cur = a;
         loop {
@@ -1655,13 +1550,8 @@ impl<V: CrackValue> CrackerColumn<V> {
                 )
             };
             if !vals.is_empty() {
-                let n = vals.len();
-                let seg = if encode && n >= Self::MORPH_MIN {
-                    Segment::encoded(vals, Arc::clone(&self.snap_bytes))
-                } else {
-                    Segment::new(vals, Arc::clone(&self.snap_bytes))
-                };
-                out.push(SnapPiece::new(hi_key, Arc::new(seg), 0, n));
+                let seg = Segment::new(vals, Arc::clone(&self.snap_bytes));
+                out.push(SnapPiece::new(hi_key, Arc::new(seg)));
             }
             match (hi_key, b) {
                 (None, _) => break,
@@ -1730,13 +1620,18 @@ impl<V: CrackValue> CrackerColumn<V> {
                         None => pieces.len(),
                         Some(bv) => pieces.partition_point(|q| q.hi_key.is_some_and(|k| k <= bv)),
                     };
-                    // A morph racing this publisher can merge several
-                    // pieces into one encoded piece, dropping a boundary
-                    // the caller read as an anchor. Splicing there would
-                    // replace (or duplicate) values the span does not
-                    // hold, so the span is skipped: without a Ripple merge
-                    // in between — merges exclude every other publisher —
-                    // the current pieces already hold its multiset.
+                    // Safety check. Only a publisher that coarsens the
+                    // piece table — one piece over several old ones —
+                    // between a caller's anchor read and this splice could
+                    // drop a boundary the caller read as an anchor, and no
+                    // publisher does: refreshes copy at live granularity,
+                    // which only refines, and merges (whose copies skip
+                    // pieces a delete emptied) exclude every other
+                    // publisher. Should one ever coarsen, splicing there
+                    // would replace (or duplicate) values the span does
+                    // not hold, so the span is skipped: without a Ripple
+                    // merge in between the current pieces already hold
+                    // its multiset.
                     if !(bounds(i, a) && bounds(j, b)) {
                         continue;
                     }
@@ -2406,75 +2301,12 @@ mod tests {
     }
 
     #[test]
-    fn morph_cold_segments_shrinks_bytes_and_keeps_scans_exact() {
-        // Domain 0..1_000 → a FOR-packed piece needs ≤ 10 bits/value
-        // instead of 64: every big piece compresses.
-        let (base, col) = column(60_000, 70);
-        let mut scratch = CrackScratch::new();
-        assert!(!col.morph_cold_segments(), "no snapshot yet");
-        let full = Predicate::range(0, 1_000);
-        col.snapshot_scan(full, &mut scratch); // publish
-        for (a, b) in [(100, 400), (550, 800), (250, 650)] {
-            col.select(Predicate::range(a, b), &mut scratch);
-        }
-        col.publish_stats();
-        while col.refresh_stale_snapshot() {}
-        col.snapshot_gc();
-        let plain_bytes = col.snapshot_bytes();
-        assert!(plain_bytes >= base.len() * 8, "snapshot not at full width");
-        // Satellite regression: each morph strictly decreases
-        // `snapshot_bytes` once the retired plain segment is reclaimed.
-        let mut last = plain_bytes;
-        let mut morphs = 0;
-        while col.morph_cold_segments() {
-            col.snapshot_gc();
-            let now = col.snapshot_bytes();
-            assert!(now < last, "morph {morphs} did not shrink: {last} -> {now}");
-            last = now;
-            morphs += 1;
-            assert!(morphs < 10_000, "morph loop did not converge");
-        }
-        assert!(morphs >= 1, "no piece ever morphed");
-        assert!(
-            last * 4 <= plain_bytes,
-            "10-bit FOR pieces should shrink ≥4x: {plain_bytes} -> {last}"
-        );
-        // Published stats expose the encoded pieces to the planner.
-        let stats = col.piece_stats().unwrap();
-        let pieces = stats.snap_pieces.as_ref().unwrap();
-        assert!(pieces.iter().any(|p| !p.plain), "stats still all-plain");
-        // Scans on the compressed form stay exact, edge filters included.
-        for pred in [full, Predicate::range(123, 777), Predicate::less_than(450)] {
-            let scan = col.snapshot_scan(pred, &mut scratch);
-            let oracle = scan_stats(&base, pred);
-            assert_eq!((scan.count, scan.sum), (oracle.count, oracle.sum));
-            let mut got = Vec::new();
-            col.snapshot_collect(pred, &mut scratch, &mut got);
-            got.sort_unstable();
-            let mut want: Vec<i64> = base
-                .iter()
-                .copied()
-                .filter(|&v| pred.matches_unbounded(v))
-                .collect();
-            want.sort_unstable();
-            assert_eq!(got, want, "collect diverged on {pred:?}");
-        }
-        // Updates after the morph stay visible through the overlay and the
-        // next merge splice.
-        let n = base.len() as RowId;
-        assert!(col.queue_insert(500, n));
-        let scan = col.snapshot_scan(full, &mut scratch);
-        let oracle = scan_stats(&base, full);
-        assert_eq!((scan.count, scan.sum), (oracle.count + 1, oracle.sum + 500));
-    }
-
-    #[test]
-    fn splice_skips_a_span_whose_anchor_a_morph_merged_away() {
+    fn splice_skips_a_span_whose_anchor_a_coarser_publish_dropped() {
         // A refresh reads its anchors (300, 400) from a fine piece table,
-        // a racing morph publishes one piece over [100, 600), and the
-        // refresh splices last: 300 is no piece boundary any more, so the
-        // span must be skipped — splicing it would insert [300, 400) a
-        // second time beside the morphed piece.
+        // then a publisher replaces [100, 600) with one coarse piece, and
+        // the refresh splices last: 300 is no piece boundary any more, so
+        // the span must be skipped — splicing it would insert [300, 400) a
+        // second time beside the coarse piece.
         let (base, col) = column(20_000, 71);
         let mut scratch = CrackScratch::new();
         col.select(Predicate::range(100, 600), &mut scratch);
@@ -2486,71 +2318,14 @@ mod tests {
             .copied()
             .filter(|v| (100..600).contains(v))
             .collect();
-        let n = coarse.len();
         let seg = Arc::new(Segment::new(coarse, Arc::clone(&col.snap_bytes)));
-        let morphed = vec![SnapPiece::new(Some(600), seg, 0, n)];
-        col.splice_and_publish(Some(100), Some(600), morphed, None);
-        let refreshed = col.copy_live_pieces(Some(300), Some(400), false, false);
+        let coarser = vec![SnapPiece::new(Some(600), seg)];
+        col.splice_and_publish(Some(100), Some(600), coarser, None);
+        let refreshed = col.copy_live_pieces(Some(300), Some(400), false);
         col.splice_and_publish(Some(300), Some(400), refreshed, None);
         let scan = col.snapshot_scan(all, &mut scratch);
         let oracle = scan_stats(&base, all);
         assert_eq!((scan.count, scan.sum), (oracle.count, oracle.sum));
-    }
-
-    #[test]
-    fn refresh_keeps_morphed_pieces_encoded() {
-        // Encoded-refresh satellite: once a piece is morphed, a background
-        // refresh that replaces it must land its copies back in encoded
-        // form — not re-plain it and wait for the morpher again.
-        let (base, col) = column(60_000, 73);
-        let mut scratch = CrackScratch::new();
-        let full = Predicate::range(0, 1_000);
-        col.snapshot_scan(full, &mut scratch); // publish
-        for (a, b) in [(100, 400), (550, 800)] {
-            col.select(Predicate::range(a, b), &mut scratch);
-        }
-        col.publish_stats();
-        while col.refresh_stale_snapshot() {}
-        while col.morph_cold_segments() {}
-        col.snapshot_gc();
-        let encoded_bytes = col.snapshot_bytes();
-        let encoded_pieces = |col: &CrackerColumn<i64>| {
-            let stats = col.piece_stats().unwrap();
-            let pieces = stats.snap_pieces.as_ref().unwrap();
-            pieces.iter().filter(|p| !p.plain).count()
-        };
-        assert!(encoded_pieces(&col) >= 1, "setup morphed nothing");
-        // Crack the live index past the snapshot's granularity again, so
-        // the morphed pieces become the stalest ones …
-        for (a, b) in [(150, 350), (600, 750), (200, 700)] {
-            col.select(Predicate::range(a, b), &mut scratch);
-        }
-        col.publish_stats();
-        // … and let the background refresh loop converge.
-        let mut rounds = 0;
-        while col.refresh_stale_snapshot() {
-            rounds += 1;
-            assert!(rounds < 10_000, "refresh loop did not converge");
-        }
-        assert!(rounds >= 1, "nothing was stale after re-cracking");
-        col.snapshot_gc();
-        assert!(
-            encoded_pieces(&col) >= 1,
-            "refresh re-plained every morphed piece"
-        );
-        // The refreshed-and-re-encoded snapshot stays compact: nowhere near
-        // the plain footprint (64 bits/value over a 10-bit domain).
-        assert!(
-            col.snapshot_bytes() < encoded_bytes * 2,
-            "refresh blew the footprint back up: {} vs {encoded_bytes}",
-            col.snapshot_bytes()
-        );
-        // And still answers exactly, collects included.
-        for pred in [full, Predicate::range(123, 777)] {
-            let scan = col.snapshot_scan(pred, &mut scratch);
-            let oracle = scan_stats(&base, pred);
-            assert_eq!((scan.count, scan.sum), (oracle.count, oracle.sum));
-        }
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //! structure lock. So the write side replaces a snapshot copy-on-write at
 //! piece granularity exactly when a merge lands, sharing the `Arc`'d
 //! [`Segment`]s of every untouched piece, and readers run with **no
-//! structure lock at all**.
+//! structure lock at all**. A segment is a plain copy of one live piece's
+//! values: fully covered pieces answer from a precomputed sum, and the two
+//! edge pieces of a range go through the lane filter in [`crate::kernels`].
 //!
 //! ## Reclamation
 //!
@@ -28,6 +30,7 @@
 //! pending updates; the epoch machinery only has to protect the
 //! *dereference* after that mutex is released.
 
+use crate::kernels;
 use holix_storage::select::Predicate;
 use holix_storage::types::CrackValue;
 use parking_lot::Mutex;
@@ -259,548 +262,29 @@ impl<T> Drop for EpochCell<T> {
 // Segments and piece snapshots
 // ---------------------------------------------------------------------------
 
-use crate::kernels::{self, bits_for, pack_bits, packed_words};
-
-/// Walks a delta stream (`first` + `n - 1` packed gaps) in position order,
-/// decoding gaps block-at-a-time through the [`kernels`] layer; `f`
-/// receives `(index, value)` and returns `false` to stop (the sorted
-/// early-exit).
-fn delta_walk(
-    first: i64,
-    bits: u32,
-    packed: &[u64],
-    n: usize,
-    mut f: impl FnMut(usize, i64) -> bool,
-) {
-    if n == 0 || !f(0, first) {
-        return;
-    }
-    let mut v = first;
-    let mut idx = 1usize;
-    let mut more = true;
-    kernels::decode_blocks(packed, bits, n - 1, |gaps| {
-        for &g in gaps {
-            v = v.wrapping_add(g as i64);
-            if !f(idx, v) {
-                more = false;
-                break;
-            }
-            idx += 1;
-        }
-        more
-    });
-}
-
-/// Translates sentinel-aware value bounds into FOR offset space
-/// (`value = base + offset`): `None` when the window is empty below
-/// `base`, otherwise `(lo_off, hi_off)` with `None` meaning unbounded.
-fn for_offsets(base: i64, lo: Option<i64>, hi: Option<i64>) -> Option<(Option<u64>, Option<u64>)> {
-    if hi.is_some_and(|h| h <= base) {
-        return None;
-    }
-    let lo_off = lo.and_then(|l| (l > base).then(|| l.wrapping_sub(base) as u64));
-    let hi_off = hi.map(|h| h.wrapping_sub(base) as u64);
-    Some((lo_off, hi_off))
-}
-
-/// Physical representation of one segment. Non-plain forms hold the
-/// multiset **sorted ascending** (snapshot pieces are unordered multisets,
-/// so sorting is free correctness-wise and buys narrow deltas plus
-/// early-exit scans); values round-trip through the order-preserving
-/// `CrackValue::as_i64` map.
-enum Repr<V> {
-    /// Verbatim values in column order — the only form edge refreshes and
-    /// merge splices produce; morphing re-encodes it in the background.
-    Plain(Vec<V>),
-    /// Frame-of-reference: sorted values bit-packed as offsets from the
-    /// minimum.
-    For {
-        base: i64,
-        bits: u32,
-        packed: Box<[u64]>,
-        len: usize,
-    },
-    /// Delta: first value plus bit-packed gaps between sorted neighbours
-    /// (narrower than FOR when values are dense over a wide span).
-    Delta {
-        first: i64,
-        bits: u32,
-        packed: Box<[u64]>,
-        len: usize,
-    },
-    /// Run-length: parallel run arrays of the sorted multiset — `vals[k]`
-    /// is run `k`'s value, `ends[k]` its exclusive cumulative end
-    /// position. Split (rather than `(value, count)` tuples) so both
-    /// arrays binary-search — by value for predicate bounds, by position
-    /// for piece windows — and so a run costs 12 bytes instead of the
-    /// tuple's padded 16.
-    Rle {
-        vals: Box<[i64]>,
-        ends: Box<[u32]>,
-        len: usize,
-    },
-}
-
-/// An immutable block of values backing one or more snapshot pieces, in
-/// one of four encodings (see [`Repr`]). The byte counter (shared with the
-/// owning column) tracks live snapshot memory: it rises by the **encoded
-/// backing size** when a segment is created and falls in `Drop` — i.e.
-/// only once epoch reclamation actually frees the last snapshot
-/// referencing the segment. Scans and collects run directly on the
-/// compressed form; nothing ever materialises a decoded copy.
+/// The immutable values backing one snapshot piece: a plain copy of the
+/// live piece's values, in column order. The byte counter (shared with the
+/// owning column) tracks live snapshot memory: it rises by the copy's size
+/// when the segment is created and falls in `Drop` — i.e. only once epoch
+/// reclamation actually frees the last snapshot referencing the segment.
 pub struct Segment<V> {
-    repr: Repr<V>,
+    data: Vec<V>,
     bytes: Arc<AtomicUsize>,
-    /// Exactly what the constructor charged (the encoded backing size), so
-    /// `Drop` debits symmetrically even for value types whose accounting
-    /// `width()` differs from their in-memory size.
+    /// Exactly what the constructor charged, so `Drop` debits
+    /// symmetrically even for value types whose accounting `width()`
+    /// differs from their in-memory size.
     charged: usize,
 }
 
 impl<V: CrackValue> Segment<V> {
-    /// Wraps copied-out values verbatim (plain encoding), charging them to
-    /// `bytes`. Edge pieces and splice copies take this form; the daemon
-    /// re-encodes stable pieces later via [`Segment::encoded`].
+    /// Wraps copied-out values, charging them to `bytes`.
     pub fn new(data: Vec<V>, bytes: Arc<AtomicUsize>) -> Self {
         let charged = data.len() * V::width();
         bytes.fetch_add(charged, SeqCst);
         Segment {
-            repr: Repr::Plain(data),
+            data,
             bytes,
             charged,
-        }
-    }
-
-    /// Encodes a multiset into the scheme its statistics favour — RLE for
-    /// heavy run structure, delta for dense wide-span values, FOR for a
-    /// narrow span — falling back to plain when no scheme beats the plain
-    /// backing size strictly. Charges the encoded backing size to `bytes`.
-    pub fn encoded(mut data: Vec<V>, bytes: Arc<AtomicUsize>) -> Self {
-        data.sort_unstable();
-        let n = data.len();
-        let plain_bytes = n * V::width();
-        if n < 2 {
-            return Self::new(data, bytes);
-        }
-        let lo = data[0].as_i64();
-        let hi = data[n - 1].as_i64();
-        // Scheme statistics in one pass: value span, max adjacent gap, runs.
-        let span = hi.wrapping_sub(lo) as u64;
-        let mut max_gap = 0u64;
-        let mut runs = 1usize;
-        for w in data.windows(2) {
-            let gap = w[1].as_i64().wrapping_sub(w[0].as_i64()) as u64;
-            max_gap = max_gap.max(gap);
-            runs += usize::from(gap != 0);
-        }
-        let for_bits = bits_for(span);
-        let delta_bits = bits_for(max_gap);
-        let for_bytes = packed_words(n, for_bits) * 8;
-        let delta_bytes = packed_words(n - 1, delta_bits) * 8 + 8;
-        let rle_bytes = runs * (std::mem::size_of::<i64>() + std::mem::size_of::<u32>());
-        let best = for_bytes.min(delta_bytes).min(rle_bytes);
-        if best >= plain_bytes {
-            return Self::new(data, bytes);
-        }
-        let repr = if rle_bytes == best {
-            let mut vals: Vec<i64> = Vec::with_capacity(runs);
-            let mut ends: Vec<u32> = Vec::with_capacity(runs);
-            for (i, v) in data.iter().enumerate() {
-                let v = v.as_i64();
-                if vals.last() == Some(&v) {
-                    *ends.last_mut().expect("run exists") = (i + 1) as u32;
-                } else {
-                    vals.push(v);
-                    ends.push((i + 1) as u32);
-                }
-            }
-            Repr::Rle {
-                vals: vals.into_boxed_slice(),
-                ends: ends.into_boxed_slice(),
-                len: n,
-            }
-        } else if for_bytes <= delta_bytes {
-            let packed = pack_bits(
-                data.iter().map(|v| v.as_i64().wrapping_sub(lo) as u64),
-                n,
-                for_bits,
-            );
-            Repr::For {
-                base: lo,
-                bits: for_bits,
-                packed,
-                len: n,
-            }
-        } else {
-            let packed = pack_bits(
-                data.windows(2)
-                    .map(|w| w[1].as_i64().wrapping_sub(w[0].as_i64()) as u64),
-                n - 1,
-                delta_bits,
-            );
-            Repr::Delta {
-                first: lo,
-                bits: delta_bits,
-                packed,
-                len: n,
-            }
-        };
-        let charged = best;
-        bytes.fetch_add(charged, SeqCst);
-        Segment {
-            repr,
-            bytes,
-            charged,
-        }
-    }
-
-    /// Number of values in the segment.
-    pub fn len(&self) -> usize {
-        match &self.repr {
-            Repr::Plain(d) => d.len(),
-            Repr::For { len, .. } | Repr::Delta { len, .. } | Repr::Rle { len, .. } => *len,
-        }
-    }
-
-    /// `true` when the segment holds no values.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// `true` for the plain (uncompressed) form — the morph daemon's
-    /// candidate filter.
-    pub fn is_plain(&self) -> bool {
-        matches!(self.repr, Repr::Plain(_))
-    }
-
-    /// Encoding label (CSV / introspection).
-    pub fn encoding(&self) -> &'static str {
-        match &self.repr {
-            Repr::Plain(_) => "plain",
-            Repr::For { .. } => "for",
-            Repr::Delta { .. } => "delta",
-            Repr::Rle { .. } => "rle",
-        }
-    }
-
-    /// The encoded backing size this segment charged to the byte counter.
-    pub fn charged_bytes(&self) -> usize {
-        self.charged
-    }
-
-    /// The values verbatim — `Some` only for the plain form. Encoded
-    /// segments are visited through [`Segment::for_each_range`] /
-    /// [`Segment::scan_range`] instead.
-    pub fn plain_values(&self) -> Option<&[V]> {
-        match &self.repr {
-            Repr::Plain(d) => Some(d),
-            _ => None,
-        }
-    }
-
-    /// First RLE run that can overlap positions `>= start`.
-    fn rle_first_run(ends: &[u32], start: usize) -> usize {
-        ends.partition_point(|&e| (e as usize) <= start)
-    }
-
-    /// Visits `seg[start..start+len)` in storage order, decoding
-    /// block-at-a-time through the [`kernels`] layer.
-    pub fn for_each_range(&self, start: usize, len: usize, mut f: impl FnMut(V)) {
-        let end = start + len;
-        match &self.repr {
-            Repr::Plain(d) => d[start..end].iter().for_each(|&v| f(v)),
-            Repr::For {
-                base,
-                bits,
-                packed,
-                len: n,
-            } => {
-                kernels::decode_range(packed, *bits, *n, start, end, |off| {
-                    f(V::from_i64_exact(base.wrapping_add(off as i64)))
-                });
-            }
-            Repr::Delta {
-                first,
-                bits,
-                packed,
-                len: n,
-            } => {
-                delta_walk(*first, *bits, packed, *n, |idx, v| {
-                    if idx >= end {
-                        return false;
-                    }
-                    if idx >= start {
-                        f(V::from_i64_exact(v));
-                    }
-                    true
-                });
-            }
-            Repr::Rle { vals, ends, .. } => {
-                for k in Self::rle_first_run(ends, start)..vals.len() {
-                    let run_start = if k == 0 { 0 } else { ends[k - 1] as usize };
-                    if run_start >= end {
-                        break;
-                    }
-                    let from = run_start.max(start);
-                    let to = (ends[k] as usize).min(end);
-                    if from < to {
-                        let dv = V::from_i64_exact(vals[k]);
-                        for _ in from..to {
-                            f(dv);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Sum of `seg[start..start+len)` (widened) — the piece-aggregate
-    /// precompute and morph-verification path, on the compressed form.
-    pub fn sum_range(&self, start: usize, len: usize) -> i128 {
-        let end = start + len;
-        match &self.repr {
-            Repr::Plain(d) => d[start..end].iter().map(|&v| v.as_i64() as i128).sum(),
-            Repr::For {
-                base,
-                bits,
-                packed,
-                len: n,
-            } => {
-                let offsets = kernels::sum_range(packed, *bits, *n, start, end);
-                offsets as i128 + *base as i128 * len as i128
-            }
-            Repr::Delta {
-                first,
-                bits,
-                packed,
-                len: n,
-            } => {
-                let mut sum = 0i128;
-                delta_walk(*first, *bits, packed, *n, |idx, v| {
-                    if idx >= end {
-                        return false;
-                    }
-                    if idx >= start {
-                        sum += v as i128;
-                    }
-                    true
-                });
-                sum
-            }
-            Repr::Rle { vals, ends, .. } => {
-                let mut sum = 0i128;
-                for k in Self::rle_first_run(ends, start)..vals.len() {
-                    let run_start = if k == 0 { 0 } else { ends[k - 1] as usize };
-                    if run_start >= end {
-                        break;
-                    }
-                    let overlap = (ends[k] as usize).min(end) - run_start.max(start);
-                    sum += vals[k] as i128 * overlap as i128;
-                }
-                sum
-            }
-        }
-    }
-
-    /// Sentinel-aware bounds in i64 space: `None` = unbounded, matching
-    /// [`Predicate::matches_unbounded`] (the `as_i64` map is
-    /// order-preserving, so comparisons agree with `V`'s order).
-    fn bounds(lo: V, hi: V) -> (Option<i64>, Option<i64>) {
-        (
-            (lo != V::MIN_VALUE).then(|| lo.as_i64()),
-            (hi != V::MAX_VALUE).then(|| hi.as_i64()),
-        )
-    }
-
-    /// Count + sum of qualifying values in `seg[start..start+len)` under
-    /// the sentinel-aware predicate semantics
-    /// ([`Predicate::matches_unbounded`]) — the fused filter_count kernel.
-    /// FOR binary-searches the qualifying index range directly on the
-    /// packed words and block-sums it; delta walks block-decoded gaps with
-    /// a sorted early exit; RLE binary-searches run boundaries; plain
-    /// rides the branchless lane filter.
-    pub fn scan_range(&self, start: usize, len: usize, lo: V, hi: V) -> (u64, i128) {
-        let pred = Predicate { lo, hi };
-        if pred.is_empty() {
-            return (0, 0);
-        }
-        let (lo_b, hi_b) = Self::bounds(lo, hi);
-        let end = start + len;
-        match &self.repr {
-            Repr::Plain(d) => {
-                let mut count = 0u64;
-                let mut sum = 0i128;
-                let mut lanes = [0i64; 256];
-                for chunk in d[start..end].chunks(lanes.len()) {
-                    for (o, v) in lanes.iter_mut().zip(chunk) {
-                        *o = v.as_i64();
-                    }
-                    let (c, s) = kernels::filter_count(&lanes[..chunk.len()], lo_b, hi_b);
-                    count += c;
-                    sum += s;
-                }
-                (count, sum)
-            }
-            Repr::For {
-                base,
-                bits,
-                packed,
-                len: n,
-            } => {
-                let Some((lo_off, hi_off)) = for_offsets(*base, lo_b, hi_b) else {
-                    return (0, 0);
-                };
-                let (c, offsets) =
-                    kernels::filter_count_sorted(packed, *bits, *n, start, end, lo_off, hi_off);
-                (c, offsets as i128 + *base as i128 * c as i128)
-            }
-            Repr::Delta {
-                first,
-                bits,
-                packed,
-                len: n,
-            } => {
-                let mut count = 0u64;
-                let mut sum = 0i128;
-                delta_walk(*first, *bits, packed, *n, |idx, v| {
-                    if idx >= end || hi_b.is_some_and(|h| v >= h) {
-                        return false;
-                    }
-                    if idx >= start && lo_b.is_none_or(|l| v >= l) {
-                        count += 1;
-                        sum += v as i128;
-                    }
-                    true
-                });
-                (count, sum)
-            }
-            Repr::Rle { vals, ends, .. } => {
-                let mut count = 0u64;
-                let mut sum = 0i128;
-                // Run-skipping: binary search the first run inside the
-                // position window AND the first run meeting the lower
-                // bound — both monotone over the sorted runs.
-                let r0 = Self::rle_first_run(ends, start);
-                let k0 = match lo_b {
-                    Some(l) => r0.max(vals.partition_point(|&v| v < l)),
-                    None => r0,
-                };
-                for k in k0..vals.len() {
-                    let run_start = if k == 0 { 0 } else { ends[k - 1] as usize };
-                    if run_start >= end || hi_b.is_some_and(|h| vals[k] >= h) {
-                        break;
-                    }
-                    let overlap = (ends[k] as usize)
-                        .min(end)
-                        .saturating_sub(run_start.max(start));
-                    count += overlap as u64;
-                    sum += vals[k] as i128 * overlap as i128;
-                }
-                (count, sum)
-            }
-        }
-    }
-
-    /// Appends the qualifying values of `seg[start..start+len)` under
-    /// `[lo, hi)` (sentinel-aware) to `out` — the fused filter_collect
-    /// kernel, sharing the scan kernels' qualifying-range machinery.
-    /// Returns (count, sum) of the appended values.
-    pub fn collect_range(
-        &self,
-        start: usize,
-        len: usize,
-        lo: V,
-        hi: V,
-        out: &mut Vec<V>,
-    ) -> (u64, i128) {
-        let pred = Predicate { lo, hi };
-        if pred.is_empty() {
-            return (0, 0);
-        }
-        let (lo_b, hi_b) = Self::bounds(lo, hi);
-        let end = start + len;
-        match &self.repr {
-            Repr::Plain(d) => {
-                let mut count = 0u64;
-                let mut sum = 0i128;
-                for &v in &d[start..end] {
-                    if pred.matches_unbounded(v) {
-                        out.push(v);
-                        count += 1;
-                        sum += v.as_i64() as i128;
-                    }
-                }
-                (count, sum)
-            }
-            Repr::For {
-                base,
-                bits,
-                packed,
-                len: n,
-            } => {
-                let Some((lo_off, hi_off)) = for_offsets(*base, lo_b, hi_b) else {
-                    return (0, 0);
-                };
-                let (ql, qh) = kernels::qualifying_range(packed, *bits, *n, lo_off, hi_off);
-                let a = ql.max(start);
-                let b = qh.min(end);
-                if a >= b {
-                    return (0, 0);
-                }
-                out.reserve(b - a);
-                let mut sum = 0i128;
-                kernels::decode_range(packed, *bits, *n, a, b, |off| {
-                    let v = base.wrapping_add(off as i64);
-                    sum += v as i128;
-                    out.push(V::from_i64_exact(v));
-                });
-                ((b - a) as u64, sum)
-            }
-            Repr::Delta {
-                first,
-                bits,
-                packed,
-                len: n,
-            } => {
-                let mut count = 0u64;
-                let mut sum = 0i128;
-                delta_walk(*first, *bits, packed, *n, |idx, v| {
-                    if idx >= end || hi_b.is_some_and(|h| v >= h) {
-                        return false;
-                    }
-                    if idx >= start && lo_b.is_none_or(|l| v >= l) {
-                        out.push(V::from_i64_exact(v));
-                        count += 1;
-                        sum += v as i128;
-                    }
-                    true
-                });
-                (count, sum)
-            }
-            Repr::Rle { vals, ends, .. } => {
-                let mut count = 0u64;
-                let mut sum = 0i128;
-                let r0 = Self::rle_first_run(ends, start);
-                let k0 = match lo_b {
-                    Some(l) => r0.max(vals.partition_point(|&v| v < l)),
-                    None => r0,
-                };
-                for k in k0..vals.len() {
-                    let run_start = if k == 0 { 0 } else { ends[k - 1] as usize };
-                    if run_start >= end || hi_b.is_some_and(|h| vals[k] >= h) {
-                        break;
-                    }
-                    let overlap = (ends[k] as usize)
-                        .min(end)
-                        .saturating_sub(run_start.max(start));
-                    if overlap > 0 {
-                        out.extend(std::iter::repeat_n(V::from_i64_exact(vals[k]), overlap));
-                        count += overlap as u64;
-                        sum += vals[k] as i128 * overlap as i128;
-                    }
-                }
-                (count, sum)
-            }
         }
     }
 }
@@ -813,8 +297,8 @@ impl<V> Drop for Segment<V> {
 
 /// One piece of a snapshot: an unordered multiset of the values in
 /// `[lo_key, hi_key)` (the lower key is implicit: the previous piece's
-/// `hi_key`, or the column minimum for the first piece), with precomputed
-/// aggregates so fully-covered pieces answer in O(1). `Clone` shares the
+/// `hi_key`, or the column minimum for the first piece), with its sum
+/// precomputed so fully-covered pieces answer in O(1). `Clone` shares the
 /// backing segment (pointer copy, no data copy) — splices clone the
 /// untouched pieces of the snapshot they replace.
 #[derive(Clone)]
@@ -822,71 +306,69 @@ pub struct SnapPiece<V> {
     /// Exclusive upper boundary key; `None` = unbounded (last piece).
     pub hi_key: Option<V>,
     seg: Arc<Segment<V>>,
-    start: usize,
-    len: usize,
     /// Sum of the piece's values (widened).
     sum: i128,
 }
 
 impl<V: CrackValue> SnapPiece<V> {
-    /// Builds a piece over `seg[start..start+len)` with its aggregate.
-    pub fn new(hi_key: Option<V>, seg: Arc<Segment<V>>, start: usize, len: usize) -> Self {
-        let sum = seg.sum_range(start, len);
-        SnapPiece {
-            hi_key,
-            seg,
-            start,
-            len,
-            sum,
-        }
+    /// Builds a piece over `seg` with its aggregate.
+    pub fn new(hi_key: Option<V>, seg: Arc<Segment<V>>) -> Self {
+        let sum = seg.data.iter().map(|&v| v.as_i64() as i128).sum();
+        SnapPiece { hi_key, seg, sum }
     }
 
-    /// The piece's values verbatim — `Some` only when the backing segment
-    /// is plain (encoded pieces are visited through
-    /// [`SnapPiece::for_each`] / [`SnapPiece::scan_range`]).
-    pub fn plain_values(&self) -> Option<&[V]> {
-        self.seg
-            .plain_values()
-            .map(|d| &d[self.start..self.start + self.len])
-    }
-
-    /// Visits every value of the piece (unordered multiset), decoding
-    /// encoded segments on the fly.
-    pub fn for_each(&self, f: impl FnMut(V)) {
-        self.seg.for_each_range(self.start, self.len, f);
-    }
-
-    /// Count + sum of the piece's values qualifying under
-    /// `[lo, hi)` (sentinel-aware) — executed on the compressed form.
-    pub fn scan_range(&self, lo: V, hi: V) -> (u64, i128) {
-        self.seg.scan_range(self.start, self.len, lo, hi)
-    }
-
-    /// Appends the piece's values qualifying under `[lo, hi)`
-    /// (sentinel-aware) to `out` — the fused filter_collect path on the
-    /// compressed form. Returns (count, sum) of the appended values.
-    pub fn collect_range(&self, lo: V, hi: V, out: &mut Vec<V>) -> (u64, i128) {
-        self.seg.collect_range(self.start, self.len, lo, hi, out)
-    }
-
-    /// `true` when the backing segment is plain (uncompressed).
-    pub fn is_plain(&self) -> bool {
-        self.seg.is_plain()
-    }
-
-    /// Backing segment's encoding label.
-    pub fn encoding(&self) -> &'static str {
-        self.seg.encoding()
+    /// The piece's values (unordered multiset).
+    pub fn values(&self) -> &[V] {
+        &self.seg.data
     }
 
     /// Number of values in the piece.
     pub fn len(&self) -> usize {
-        self.len
+        self.seg.data.len()
     }
 
     /// `true` when the piece holds no values.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.seg.data.is_empty()
+    }
+
+    /// Count + sum of the piece's values qualifying under `[lo, hi)`
+    /// (sentinel-aware, matching [`Predicate::matches_unbounded`]): the
+    /// values widen into i64 lanes for the ISA-dispatched lane filter.
+    fn scan_range(&self, lo: V, hi: V) -> (u64, i128) {
+        // The `as_i64` map is order-preserving, so i64 comparisons agree
+        // with `V`'s order; a sentinel bound means unbounded.
+        let lo_b = (lo != V::MIN_VALUE).then(|| lo.as_i64());
+        let hi_b = (hi != V::MAX_VALUE).then(|| hi.as_i64());
+        let mut count = 0u64;
+        let mut sum = 0i128;
+        let mut lanes = [0i64; 256];
+        for chunk in self.values().chunks(lanes.len()) {
+            for (o, v) in lanes.iter_mut().zip(chunk) {
+                *o = v.as_i64();
+            }
+            let (c, s) = kernels::filter_count(&lanes[..chunk.len()], lo_b, hi_b);
+            count += c;
+            sum += s;
+        }
+        (count, sum)
+    }
+
+    /// Appends the piece's values qualifying under `[lo, hi)`
+    /// (sentinel-aware) to `out`. Returns (count, sum) of the appended
+    /// values.
+    fn collect_range(&self, lo: V, hi: V, out: &mut Vec<V>) -> (u64, i128) {
+        let pred = Predicate { lo, hi };
+        let mut count = 0u64;
+        let mut sum = 0i128;
+        for &v in self.values() {
+            if pred.matches_unbounded(v) {
+                out.push(v);
+                count += 1;
+                sum += v.as_i64() as i128;
+            }
+        }
+        (count, sum)
     }
 }
 
@@ -963,10 +445,7 @@ impl<V: CrackValue> PieceSnapshot<V> {
         let mut scan = SnapshotScan::default();
         self.walk(lo, hi, |piece, covered| {
             if covered {
-                match piece.plain_values() {
-                    Some(vals) => out.extend_from_slice(vals),
-                    None => piece.for_each(|v| out.push(v)),
-                }
+                out.extend_from_slice(piece.values());
                 scan.count += piece.len() as u64;
                 scan.sum += piece.sum;
             } else {
@@ -1152,10 +631,7 @@ mod tests {
     ) -> PieceSnapshot<i64> {
         let pieces = pieces
             .into_iter()
-            .map(|(hi, vals)| {
-                let n = vals.len();
-                SnapPiece::new(hi, Arc::new(Segment::new(vals, Arc::clone(bytes))), 0, n)
-            })
+            .map(|(hi, vals)| SnapPiece::new(hi, Arc::new(Segment::new(vals, Arc::clone(bytes)))))
             .collect();
         PieceSnapshot::new(pieces)
     }
@@ -1349,257 +825,5 @@ mod tests {
         let mut out = Vec::new();
         snap.collect_into(i64::MIN, i64::MAX, &mut out);
         assert!(out.is_empty());
-    }
-
-    /// Decode-everything helper: the segment's multiset in sorted order.
-    fn decoded<V: CrackValue>(seg: &Segment<V>) -> Vec<V> {
-        let mut out = Vec::with_capacity(seg.len());
-        seg.for_each_range(0, seg.len(), |v| out.push(v));
-        out.sort_unstable();
-        out
-    }
-
-    /// Full roundtrip + kernel check for one input multiset: decode equals
-    /// the sorted input, and scan/sum kernels match a plain-scan oracle on
-    /// a handful of bounds drawn from the data.
-    fn check_roundtrip<V: CrackValue>(data: Vec<V>) {
-        let bytes = counter();
-        let seg = Segment::encoded(data.clone(), Arc::clone(&bytes));
-        let mut sorted = data.clone();
-        sorted.sort_unstable();
-        assert_eq!(decoded(&seg), sorted, "{} roundtrip", seg.encoding());
-        assert_eq!(bytes.load(SeqCst), seg.charged_bytes());
-        let oracle_sum: i128 = sorted.iter().map(|&v| v.as_i64() as i128).sum();
-        assert_eq!(seg.sum_range(0, seg.len()), oracle_sum);
-        let mut probes: Vec<(V, V)> = vec![(V::MIN_VALUE, V::MAX_VALUE)];
-        if let (Some(&a), Some(&b)) = (sorted.first(), sorted.last()) {
-            probes.push((a, b));
-            probes.push((b, a)); // degenerate
-            probes.push((a, V::MAX_VALUE));
-            probes.push((V::MIN_VALUE, b));
-            let mid = sorted[sorted.len() / 2];
-            probes.push((a, mid));
-            probes.push((mid, mid)); // empty
-        }
-        for (lo, hi) in probes {
-            let pred = Predicate { lo, hi };
-            let mut count = 0u64;
-            let mut sum = 0i128;
-            for &v in &sorted {
-                if pred.matches_unbounded(v) {
-                    count += 1;
-                    sum += v.as_i64() as i128;
-                }
-            }
-            assert_eq!(
-                seg.scan_range(0, seg.len(), lo, hi),
-                (count, sum),
-                "{} scan [{:?},{:?})",
-                seg.encoding(),
-                lo,
-                hi
-            );
-            let mut got = Vec::new();
-            let (c2, s2) = seg.collect_range(0, seg.len(), lo, hi, &mut got);
-            got.sort_unstable();
-            let want: Vec<V> = sorted
-                .iter()
-                .copied()
-                .filter(|&v| pred.matches_unbounded(v))
-                .collect();
-            assert_eq!(got, want, "{} collect [{lo:?},{hi:?})", seg.encoding());
-            assert_eq!((c2, s2), (count, sum));
-            // Interior windows must agree with a positional oracle too.
-            if seg.len() >= 4 {
-                let (a, b) = (seg.len() / 4, seg.len() / 4 + seg.len() / 2);
-                let mut wc = 0u64;
-                let mut ws = 0i128;
-                for &v in &sorted[a..b] {
-                    if pred.matches_unbounded(v) {
-                        wc += 1;
-                        ws += v.as_i64() as i128;
-                    }
-                }
-                assert_eq!(
-                    seg.scan_range(a, b - a, lo, hi),
-                    (wc, ws),
-                    "{} windowed scan [{lo:?},{hi:?})",
-                    seg.encoding()
-                );
-                let mut wgot = Vec::new();
-                seg.collect_range(a, b - a, lo, hi, &mut wgot);
-                wgot.sort_unstable();
-                let wwant: Vec<V> = sorted[a..b]
-                    .iter()
-                    .copied()
-                    .filter(|&v| pred.matches_unbounded(v))
-                    .collect();
-                assert_eq!(wgot, wwant, "{} windowed collect", seg.encoding());
-            }
-        }
-        let charged = seg.charged_bytes();
-        drop(seg);
-        let _ = charged;
-        assert_eq!(bytes.load(SeqCst), 0, "Drop must debit exactly charged");
-    }
-
-    #[test]
-    fn encoded_adversarial_runs() {
-        // All-equal → FOR with zero bits (or RLE), near-zero bytes.
-        let bytes = counter();
-        let seg = Segment::encoded(vec![7i64; 4096], Arc::clone(&bytes));
-        assert!(!seg.is_plain());
-        assert!(
-            seg.charged_bytes() < 4096 * 8 / 10,
-            "{}",
-            seg.charged_bytes()
-        );
-        drop(seg);
-        // Strictly increasing → delta wins with 1-bit gaps.
-        let inc: Vec<i64> = (0..4096).map(|i| 1_000_000 + i).collect();
-        let seg = Segment::encoded(inc, Arc::clone(&bytes));
-        assert_eq!(seg.encoding(), "delta");
-        assert!(seg.charged_bytes() <= 4096 / 8 + 16);
-        drop(seg);
-        // Wide-span sparse (span ~2^63): no scheme beats plain — fallback.
-        let sparse = vec![i64::MIN + 1, -5, 0, 3, i64::MAX - 1];
-        let seg = Segment::encoded(sparse, Arc::clone(&bytes));
-        assert!(seg.is_plain());
-        drop(seg);
-        assert_eq!(bytes.load(SeqCst), 0);
-        for data in [
-            vec![7i64; 1000],
-            (0..1000).collect(),
-            vec![i64::MIN + 1, -5, 0, 3, i64::MAX - 1],
-            (0..1000).map(|i| (i * 37) % 11).collect(),
-        ] {
-            check_roundtrip(data);
-        }
-    }
-
-    #[test]
-    fn encoded_roundtrip_across_widths() {
-        check_roundtrip::<i8>((-100..100).map(|v| v as i8).collect());
-        check_roundtrip::<i16>((0..2000).map(|v| (v % 300) as i16).collect());
-        check_roundtrip::<i32>((0..5000).map(|v| v * 3).collect());
-        check_roundtrip::<u32>((0..5000).map(|v| (v % 17) as u32).collect());
-        check_roundtrip::<i64>(Vec::new());
-        check_roundtrip::<i64>(vec![42]);
-    }
-
-    /// Satellite regression: morphing a plain segment into an encoded one
-    /// strictly decreases the charged snapshot bytes on compressible data,
-    /// and `Drop` debits exactly what each constructor charged.
-    #[test]
-    fn morph_strictly_decreases_charged_bytes() {
-        let bytes = counter();
-        let data: Vec<i64> = (0..8192).map(|i| (i * 31) % 1000).collect();
-        let plain = Segment::new(data.clone(), Arc::clone(&bytes));
-        let plain_charge = plain.charged_bytes();
-        assert_eq!(plain_charge, 8192 * 8);
-        assert_eq!(bytes.load(SeqCst), plain_charge);
-        let enc = Segment::encoded(data, Arc::clone(&bytes));
-        assert!(
-            enc.charged_bytes() < plain_charge,
-            "morph must strictly shrink: {} vs {plain_charge}",
-            enc.charged_bytes()
-        );
-        assert_eq!(bytes.load(SeqCst), plain_charge + enc.charged_bytes());
-        drop(plain);
-        assert_eq!(bytes.load(SeqCst), enc.charged_bytes());
-        drop(enc);
-        assert_eq!(bytes.load(SeqCst), 0);
-    }
-
-    #[test]
-    fn encoded_snapshot_answers_like_plain() {
-        let bytes = counter();
-        let mk = |encode: bool| -> PieceSnapshot<i64> {
-            let pieces = vec![
-                (Some(100i64), (0..100).collect::<Vec<i64>>()),
-                (Some(200), (100..200).map(|v| v / 2 * 2).collect()),
-                (None, vec![250; 64]),
-            ];
-            PieceSnapshot::new(
-                pieces
-                    .into_iter()
-                    .map(|(hi, vals)| {
-                        let n = vals.len();
-                        let seg = if encode {
-                            Arc::new(Segment::encoded(vals, Arc::clone(&bytes)))
-                        } else {
-                            Arc::new(Segment::new(vals, Arc::clone(&bytes)))
-                        };
-                        SnapPiece::new(hi, seg, 0, n)
-                    })
-                    .collect(),
-            )
-        };
-        let plain = mk(false);
-        let enc = mk(true);
-        assert!(enc.pieces().iter().all(|p| !p.is_plain()));
-        for (lo, hi) in [
-            (i64::MIN, i64::MAX),
-            (0, 300),
-            (50, 150),
-            (100, 200),
-            (199, 251),
-            (42, 42),
-        ] {
-            let a = plain.stats(lo, hi);
-            let b = enc.stats(lo, hi);
-            assert_eq!((a.count, a.sum), (b.count, b.sum), "[{lo},{hi})");
-            assert_eq!(a.filtered, b.filtered, "edge-filter semantics differ");
-            let (mut va, mut vb) = (Vec::new(), Vec::new());
-            plain.collect_into(lo, hi, &mut va);
-            enc.collect_into(lo, hi, &mut vb);
-            va.sort_unstable();
-            vb.sort_unstable();
-            assert_eq!(va, vb, "[{lo},{hi})");
-        }
-    }
-
-    mod prop {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(64))]
-
-            #[test]
-            fn encode_decode_roundtrip_i64(
-                data in proptest::collection::vec(any::<i64>(), 0..300),
-            ) {
-                // Clamp away the MAX sentinel (domains never produce it).
-                let data: Vec<i64> =
-                    data.into_iter().map(|v| v.min(i64::MAX - 1)).collect();
-                check_roundtrip(data);
-            }
-
-            #[test]
-            fn encode_decode_roundtrip_narrow(
-                data in proptest::collection::vec(0i64..5000, 0..300),
-            ) {
-                check_roundtrip(data);
-            }
-
-            #[test]
-            fn encode_decode_roundtrip_i16(
-                data in proptest::collection::vec(any::<i16>(), 0..300),
-            ) {
-                let data: Vec<i16> =
-                    data.into_iter().map(|v| v.min(i16::MAX - 1)).collect();
-                check_roundtrip(data);
-            }
-
-            #[test]
-            fn encode_decode_roundtrip_u32(
-                data in proptest::collection::vec(any::<u32>(), 0..300),
-            ) {
-                let data: Vec<u32> =
-                    data.into_iter().map(|v| v.min(u32::MAX - 1)).collect();
-                check_roundtrip(data);
-            }
-        }
     }
 }

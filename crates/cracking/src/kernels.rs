@@ -1,198 +1,15 @@
-//! Block-at-a-time unpack / scan kernels for bit-packed segment data.
+//! The i64 lane filter behind plain snapshot scans: count plus exact
+//! widened sum of the values in `[lo, hi)`, with `None` as an unbounded
+//! side.
 //!
-//! The snapshot layer stores encoded segments as little-endian bit-packed
-//! word arrays (FOR offsets, delta gaps — see [`crate::epoch::Segment`]).
-//! PR 8 decoded them with a scalar cursor ([`ScalarUnpacker`]): one shift,
-//! one conditional cross-word OR and one mask *per value*. This module
-//! replaces that with block kernels built on one layout property: a block
-//! of [`BLOCK`] = 64 values of width `bits` occupies **exactly `bits`
-//! words, word-aligned** (64·bits bits), so block `b` starts at word
-//! `b·bits` with bit offset 0 — every block decodes with the same
-//! word-index/shift pattern.
-//!
-//! Three layers, slowest to fastest:
-//!
-//! - [`ScalarUnpacker`] — the PR 8 cursor, kept as the micro-bench and
-//!   equivalence-test baseline;
-//! - portable block kernels — width-specialised (`const BITS` dispatched
-//!   over 0..=64) fully-unrolled inner loops the compiler autovectorises;
-//! - explicit AVX2 kernels (`core::arch::x86_64`) — per-width gather /
-//!   variable-shift tables for unpack, compare/blend lanes for the fused
-//!   filter — selected once per process by [`active_isa`]
-//!   (`is_x86_feature_detected!`), with the portable kernels as fallback.
-//!
-//! On top of the unpack sit fused consumers that never materialise a
-//! decoded copy: [`sum_range`] (block unpack + lane accumulate),
-//! [`filter_count_sorted`] (sorted streams: binary search **on the packed
-//! words** for the qualifying index range, then block-sum only that range)
-//! and [`filter_count`] (unsorted i64 lanes: branchless compare + masked
-//! split-lane accumulate). `HOLIX_NO_SIMD=1` forces the portable paths.
+//! [`filter_count_portable`] is a branchless compare with a masked
+//! split-lane accumulate, written stripe-wise so the backend vectorises it.
+//! [`avx2::filter_count`] does the same with explicit `core::arch::x86_64`
+//! compare / movemask / popcount lanes. [`filter_count`] picks one through
+//! [`active_isa`], a one-time `is_x86_feature_detected!` check;
+//! `HOLIX_NO_SIMD=1` forces the portable path.
 
 use std::sync::OnceLock;
-
-/// Values per kernel block. A block of width `bits` spans exactly `bits`
-/// packed words (64·bits bits), word-aligned — the property every block
-/// kernel leans on.
-pub const BLOCK: usize = 64;
-
-/// Bit width needed to represent `max` (0 when `max == 0`).
-pub fn bits_for(max: u64) -> u32 {
-    64 - max.leading_zeros()
-}
-
-/// Words needed to bit-pack `n` values of `bits` each.
-pub fn packed_words(n: usize, bits: u32) -> usize {
-    ((n as u64).saturating_mul(bits as u64)).div_ceil(64) as usize
-}
-
-/// Little-endian bit-packs `n` values (each `< 2^bits`) into a word array.
-pub fn pack_bits(values: impl Iterator<Item = u64>, n: usize, bits: u32) -> Box<[u64]> {
-    let mut words = vec![0u64; packed_words(n, bits)];
-    if bits > 0 {
-        let mut bitpos = 0usize;
-        for v in values {
-            debug_assert!(bits == 64 || v < (1u64 << bits));
-            let (w, off) = (bitpos / 64, bitpos % 64);
-            words[w] |= v << off;
-            if off + bits as usize > 64 {
-                words[w + 1] |= v >> (64 - off);
-            }
-            bitpos += bits as usize;
-        }
-    }
-    words.into_boxed_slice()
-}
-
-/// Sequential scalar cursor over a bit-packed word array — the pre-kernel
-/// decode path, kept public as the baseline the block kernels are measured
-/// and equivalence-tested against.
-pub struct ScalarUnpacker<'a> {
-    words: &'a [u64],
-    bits: u32,
-    bitpos: usize,
-}
-
-impl<'a> ScalarUnpacker<'a> {
-    /// Cursor at the first packed value.
-    pub fn new(words: &'a [u64], bits: u32) -> Self {
-        ScalarUnpacker {
-            words,
-            bits,
-            bitpos: 0,
-        }
-    }
-
-    /// Decodes the next value: one shift, at most one cross-word OR, one
-    /// mask.
-    #[inline(always)]
-    #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> u64 {
-        if self.bits == 0 {
-            return 0;
-        }
-        let (w, off) = (self.bitpos / 64, self.bitpos % 64);
-        let mut v = self.words[w] >> off;
-        if off + self.bits as usize > 64 {
-            v |= self.words[w + 1] << (64 - off);
-        }
-        if self.bits < 64 {
-            v &= (1u64 << self.bits) - 1;
-        }
-        self.bitpos += self.bits as usize;
-        v
-    }
-}
-
-/// Random access: value `i` of the packed stream.
-#[inline]
-pub fn get(words: &[u64], bits: u32, i: usize) -> u64 {
-    if bits == 0 {
-        return 0;
-    }
-    let bit = i * bits as usize;
-    let (w, off) = (bit >> 6, bit & 63);
-    let mut v = words[w] >> off;
-    if off + bits as usize > 64 {
-        v |= words[w + 1] << (64 - off);
-    }
-    if bits < 64 {
-        v &= (1u64 << bits) - 1;
-    }
-    v
-}
-
-/// First index whose value is `>= target` in a **sorted** packed stream of
-/// `n` values — O(log n) random probes, nothing else is unpacked.
-pub fn lower_bound(words: &[u64], bits: u32, n: usize, target: u64) -> usize {
-    let (mut lo, mut hi) = (0usize, n);
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if get(words, bits, mid) < target {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    lo
-}
-
-// ---------------------------------------------------------------------------
-// Portable width-specialised block unpack
-// ---------------------------------------------------------------------------
-
-/// Unpacks one full 64-value block. Each lane is emitted as its own
-/// statement with a *literal* index — the word index, shift, spill branch
-/// and bounds checks of every lane const-fold, leaving straight-line
-/// shift/or/mask code the backend schedules wide (a 64x `for` loop is NOT
-/// equivalent: LLVM keeps it rolled and re-derives the word/offset pair
-/// per iteration, which measured ~3x slower).
-#[inline(always)]
-fn unpack_block_w<const BITS: u32>(words: &[u64], out: &mut [u64; BLOCK]) {
-    if BITS == 0 {
-        out.fill(0);
-        return;
-    }
-    let words = &words[..BITS as usize];
-    let mask = if BITS == 64 {
-        u64::MAX
-    } else {
-        (1u64 << BITS) - 1
-    };
-    macro_rules! lane {
-        ($($i:literal)*) => {$(
-            {
-                let bit = $i * BITS as usize;
-                let (w, off) = (bit >> 6, bit & 63);
-                let mut v = words[w] >> off;
-                if off + BITS as usize > 64 {
-                    v |= words[w + 1] << (64 - off);
-                }
-                out[$i] = v & mask;
-            }
-        )*};
-    }
-    lane!(0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15
-          16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 31
-          32 33 34 35 36 37 38 39 40 41 42 43 44 45 46 47
-          48 49 50 51 52 53 54 55 56 57 58 59 60 61 62 63);
-}
-
-/// Portable block unpack: decodes the 64 values whose words start at
-/// `words[0]` into `out`, dispatching to the width-specialised kernel.
-pub fn unpack_block_portable(words: &[u64], bits: u32, out: &mut [u64; BLOCK]) {
-    macro_rules! dispatch {
-        ($($b:literal)*) => {
-            match bits {
-                $($b => unpack_block_w::<$b>(words, out),)*
-                _ => unreachable!("bit width exceeds 64"),
-            }
-        };
-    }
-    dispatch!(0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16
-              17 18 19 20 21 22 23 24 25 26 27 28 29 30 31 32
-              33 34 35 36 37 38 39 40 41 42 43 44 45 46 47 48
-              49 50 51 52 53 54 55 56 57 58 59 60 61 62 63 64)
-}
 
 // ---------------------------------------------------------------------------
 // Runtime ISA dispatch
@@ -201,7 +18,7 @@ pub fn unpack_block_portable(words: &[u64], bits: u32, out: &mut [u64; BLOCK]) {
 /// Which kernel family [`active_isa`] selected for this process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Isa {
-    /// Width-specialised autovectorised kernels (always available).
+    /// Stripe-wise autovectorised kernel (always available).
     Portable,
     /// Explicit `core::arch::x86_64` AVX2 kernels.
     Avx2,
@@ -227,91 +44,7 @@ pub fn active_isa() -> Isa {
 /// `#[target_feature]` bodies hold the intrinsics.
 #[cfg(target_arch = "x86_64")]
 pub mod avx2 {
-    use super::BLOCK;
     use core::arch::x86_64::*;
-
-    /// Per-width gather/shift tables for block unpack. Because every block
-    /// is word-aligned, the 64 (word-index, bit-offset) pairs are identical
-    /// for all blocks of a stream — computed once per width, reused per
-    /// block: gather low words, variable-shift right, gather spill words,
-    /// variable-shift left, OR, mask.
-    pub struct Avx2Unpacker {
-        word: [i64; BLOCK],
-        shift: [i64; BLOCK],
-        spill: [i64; BLOCK],
-        spill_shift: [i64; BLOCK],
-        mask: u64,
-        bits: u32,
-    }
-
-    impl Avx2Unpacker {
-        /// Builds the tables for one width. Panics when AVX2 is missing or
-        /// `bits` is 0 (a zero-width stream has no packed words to read).
-        pub fn new(bits: u32) -> Self {
-            assert!(
-                std::is_x86_feature_detected!("avx2"),
-                "AVX2 unavailable on this CPU"
-            );
-            assert!((1..=64).contains(&bits));
-            let b = bits as usize;
-            let mut t = Avx2Unpacker {
-                word: [0; BLOCK],
-                shift: [0; BLOCK],
-                spill: [0; BLOCK],
-                spill_shift: [0; BLOCK],
-                mask: if bits == 64 {
-                    u64::MAX
-                } else {
-                    (1u64 << bits) - 1
-                },
-                bits,
-            };
-            for i in 0..BLOCK {
-                let bit = i * b;
-                let (w, off) = (bit >> 6, bit & 63);
-                t.word[i] = w as i64;
-                t.shift[i] = off as i64;
-                // The spill gather must stay inside the block's `bits`
-                // words even for lanes that need no spill: clamp to the
-                // last word — a lane that needs the spill always has
-                // w + 1 <= bits - 1, and a lane that does not shifts the
-                // gathered word to positions >= bits, where the mask
-                // erases it (off == 0 shifts left by 64, which `sllv`
-                // defines as zero).
-                t.spill[i] = (w + 1).min(b - 1) as i64;
-                t.spill_shift[i] = (64 - off) as i64;
-            }
-            t
-        }
-
-        /// Unpacks one full 64-value block (`bits` packed words) into
-        /// `out`.
-        #[inline]
-        pub fn unpack(&self, block_words: &[u64], out: &mut [u64; BLOCK]) {
-            assert!(block_words.len() >= self.bits as usize);
-            // SAFETY: the constructor verified AVX2; every gather index is
-            // < `bits` (see table construction), so all reads stay inside
-            // `block_words[..bits]`.
-            unsafe { self.unpack_inner(block_words.as_ptr(), out) }
-        }
-
-        #[target_feature(enable = "avx2")]
-        unsafe fn unpack_inner(&self, p: *const u64, out: &mut [u64; BLOCK]) {
-            let p = p as *const i64;
-            let mask = _mm256_set1_epi64x(self.mask as i64);
-            for i in (0..BLOCK).step_by(4) {
-                let wi = _mm256_loadu_si256(self.word.as_ptr().add(i) as *const __m256i);
-                let sh = _mm256_loadu_si256(self.shift.as_ptr().add(i) as *const __m256i);
-                let si = _mm256_loadu_si256(self.spill.as_ptr().add(i) as *const __m256i);
-                let ss = _mm256_loadu_si256(self.spill_shift.as_ptr().add(i) as *const __m256i);
-                let lo = _mm256_i64gather_epi64::<8>(p, wi);
-                let hi = _mm256_i64gather_epi64::<8>(p, si);
-                let v = _mm256_or_si256(_mm256_srlv_epi64(lo, sh), _mm256_sllv_epi64(hi, ss));
-                let v = _mm256_and_si256(v, mask);
-                _mm256_storeu_si256(out.as_mut_ptr().add(i) as *mut __m256i, v);
-            }
-        }
-    }
 
     /// AVX2 fused filter over unsorted i64 lanes: branchless two-sided
     /// compare, movemask popcount for the count, masked split-lane (low
@@ -380,199 +113,6 @@ pub mod avx2 {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Dispatched block decoding
-// ---------------------------------------------------------------------------
-
-/// Per-stream unpack state hoisted out of the per-block loop.
-///
-/// Dispatch policy, measured on this codebase's container class: the
-/// const-folded unrolled portable kernel decodes ~3x faster than the
-/// gather-based AVX2 unpack at *every* width (`vpgatherqq` throughput
-/// dominates; the straight-line shift/or/mask stream keeps 4 scalar ports
-/// busy instead), so block *unpack* always takes the portable kernel. The
-/// AVX2 unpack stays available in [`avx2`] — the dispatch-agreement test
-/// exercises it, and the lane *filter* (where AVX2 wins ~4x) still
-/// dispatches on [`active_isa`].
-struct BlockReader {
-    bits: u32,
-}
-
-impl BlockReader {
-    fn new(bits: u32, _blocks: usize) -> Self {
-        BlockReader { bits }
-    }
-
-    /// Decodes full block `block` of `words` into `out`.
-    #[inline]
-    fn read(&self, words: &[u64], block: usize, out: &mut [u64; BLOCK]) {
-        let w = &words[block * self.bits as usize..];
-        unpack_block_portable(w, self.bits, out);
-    }
-}
-
-/// Visits packed values `a..b` (of `n` total) in order, decoding
-/// block-at-a-time; the final partial block (if any) falls back to
-/// per-value [`get`].
-pub fn decode_range(
-    words: &[u64],
-    bits: u32,
-    n: usize,
-    a: usize,
-    b: usize,
-    mut f: impl FnMut(u64),
-) {
-    debug_assert!(b <= n);
-    if a >= b {
-        return;
-    }
-    if bits == 0 {
-        for _ in a..b {
-            f(0);
-        }
-        return;
-    }
-    let full_blocks = n / BLOCK;
-    let rd = BlockReader::new(bits, (b - a) / BLOCK);
-    let mut buf = [0u64; BLOCK];
-    let mut i = a;
-    while i < b {
-        let blk = i / BLOCK;
-        if blk >= full_blocks {
-            for j in i..b {
-                f(get(words, bits, j));
-            }
-            return;
-        }
-        rd.read(words, blk, &mut buf);
-        let s = i - blk * BLOCK;
-        let e = (b - blk * BLOCK).min(BLOCK);
-        for &v in &buf[s..e] {
-            f(v);
-        }
-        i = blk * BLOCK + e;
-    }
-}
-
-/// Visits the packed stream in decoded chunks of at most [`BLOCK`] values;
-/// return `false` from `f` to stop (sorted early-exit for delta walks).
-pub fn decode_blocks(words: &[u64], bits: u32, n: usize, mut f: impl FnMut(&[u64]) -> bool) {
-    if n == 0 {
-        return;
-    }
-    if bits == 0 {
-        let zeros = [0u64; BLOCK];
-        let mut left = n;
-        while left > 0 {
-            let c = left.min(BLOCK);
-            if !f(&zeros[..c]) {
-                return;
-            }
-            left -= c;
-        }
-        return;
-    }
-    let full_blocks = n / BLOCK;
-    let rd = BlockReader::new(bits, full_blocks);
-    let mut buf = [0u64; BLOCK];
-    for blk in 0..full_blocks {
-        rd.read(words, blk, &mut buf);
-        if !f(&buf) {
-            return;
-        }
-    }
-    let tail = full_blocks * BLOCK;
-    if tail < n {
-        for j in tail..n {
-            buf[j - tail] = get(words, bits, j);
-        }
-        f(&buf[..n - tail]);
-    }
-}
-
-/// Sum of packed values `a..b` (of `n`), block-at-a-time. Blocks of width
-/// ≤ 57 accumulate in one u64 lane set (64 such values cannot overflow);
-/// wider blocks widen per value.
-pub fn sum_range(words: &[u64], bits: u32, n: usize, a: usize, b: usize) -> u128 {
-    debug_assert!(b <= n);
-    if a >= b || bits == 0 {
-        return 0;
-    }
-    let full_blocks = n / BLOCK;
-    let rd = BlockReader::new(bits, (b - a) / BLOCK);
-    let mut buf = [0u64; BLOCK];
-    let mut total = 0u128;
-    let mut i = a;
-    while i < b {
-        let blk = i / BLOCK;
-        if blk >= full_blocks {
-            for j in i..b {
-                total += get(words, bits, j) as u128;
-            }
-            return total;
-        }
-        rd.read(words, blk, &mut buf);
-        let s = i - blk * BLOCK;
-        let e = (b - blk * BLOCK).min(BLOCK);
-        if bits <= 57 {
-            let mut acc = 0u64;
-            for &v in &buf[s..e] {
-                acc += v;
-            }
-            total += acc as u128;
-        } else {
-            for &v in &buf[s..e] {
-                total += v as u128;
-            }
-        }
-        i = blk * BLOCK + e;
-    }
-    total
-}
-
-/// Index range `[a, b)` of values within `[lo, hi)` in a **sorted** packed
-/// stream (`None` = unbounded) — two binary searches directly on the
-/// packed words.
-pub fn qualifying_range(
-    words: &[u64],
-    bits: u32,
-    n: usize,
-    lo: Option<u64>,
-    hi: Option<u64>,
-) -> (usize, usize) {
-    let a = match lo {
-        None | Some(0) => 0,
-        Some(t) => lower_bound(words, bits, n, t),
-    };
-    let b = match hi {
-        None => n,
-        Some(t) => lower_bound(words, bits, n, t),
-    };
-    (a, b.max(a))
-}
-
-/// Fused filter over a **sorted** packed stream: binary search locates the
-/// contiguous qualifying index range, intersects it with the position
-/// window `[start, end)`, and block-sums only that range. Returns
-/// (count, sum of qualifying packed values).
-pub fn filter_count_sorted(
-    words: &[u64],
-    bits: u32,
-    n: usize,
-    start: usize,
-    end: usize,
-    lo: Option<u64>,
-    hi: Option<u64>,
-) -> (u64, u128) {
-    let (ql, qh) = qualifying_range(words, bits, n, lo, hi);
-    let a = ql.max(start);
-    let b = qh.min(end);
-    if a >= b {
-        return (0, 0);
-    }
-    ((b - a) as u64, sum_range(words, bits, n, a, b))
-}
-
 /// Portable fused filter over unsorted i64 lanes: branchless two-sided
 /// compare (`None` = unbounded; an unbounded upper bound admits
 /// `i64::MAX`), masked split-lane accumulate for the exact widened sum.
@@ -624,111 +164,6 @@ mod tests {
         z ^ (z >> 31)
     }
 
-    fn masked_values(bits: u32, len: usize, seed: u64) -> Vec<u64> {
-        let mask = if bits == 64 {
-            u64::MAX
-        } else if bits == 0 {
-            0
-        } else {
-            (1u64 << bits) - 1
-        };
-        let mut s = seed;
-        (0..len).map(|_| splitmix(&mut s) & mask).collect()
-    }
-
-    fn scalar_decode(words: &[u64], bits: u32, n: usize) -> Vec<u64> {
-        let mut un = ScalarUnpacker::new(words, bits);
-        (0..n).map(|_| un.next()).collect()
-    }
-
-    #[test]
-    fn block_kernels_match_scalar_across_all_widths() {
-        // Exhaustive widths, a length that exercises full blocks plus an
-        // unaligned tail (64·2 + 37).
-        for bits in 0..=64u32 {
-            let vals = masked_values(bits, 165, 0xA5A5 + bits as u64);
-            let packed = pack_bits(vals.iter().copied(), vals.len(), bits);
-            assert_eq!(
-                scalar_decode(&packed, bits, vals.len()),
-                vals,
-                "scalar roundtrip bits={bits}"
-            );
-            let mut out = Vec::new();
-            decode_range(&packed, bits, vals.len(), 0, vals.len(), |v| out.push(v));
-            assert_eq!(out, vals, "decode_range bits={bits}");
-            for (i, &v) in vals.iter().enumerate() {
-                assert_eq!(get(&packed, bits, i), v, "get({i}) bits={bits}");
-            }
-            let oracle: u128 = vals.iter().map(|&v| v as u128).sum();
-            assert_eq!(
-                sum_range(&packed, bits, vals.len(), 0, vals.len()),
-                oracle,
-                "sum_range bits={bits}"
-            );
-        }
-    }
-
-    #[test]
-    fn unaligned_windows_match_scalar() {
-        let bits = 13;
-        let vals = masked_values(bits, 300, 7);
-        let packed = pack_bits(vals.iter().copied(), vals.len(), bits);
-        for (a, b) in [(0, 0), (0, 1), (63, 65), (1, 300), (130, 131), (64, 256)] {
-            let mut out = Vec::new();
-            decode_range(&packed, bits, vals.len(), a, b, |v| out.push(v));
-            assert_eq!(out, vals[a..b], "window [{a},{b})");
-            let oracle: u128 = vals[a..b].iter().map(|&v| v as u128).sum();
-            assert_eq!(sum_range(&packed, bits, vals.len(), a, b), oracle);
-        }
-    }
-
-    #[test]
-    fn sorted_filter_matches_linear_oracle() {
-        for bits in [0u32, 1, 7, 12, 33, 63, 64] {
-            let mut vals = masked_values(bits, 257, 0xBEEF + bits as u64);
-            vals.sort_unstable();
-            let n = vals.len();
-            let packed = pack_bits(vals.iter().copied(), n, bits);
-            let probes: &[(Option<u64>, Option<u64>)] = &[
-                (None, None),
-                (Some(0), None),
-                (Some(vals[n / 2]), None),
-                (None, Some(vals[n / 2])),
-                (Some(vals[n / 4]), Some(vals[3 * n / 4])),
-                (Some(u64::MAX), Some(u64::MAX)),
-                (Some(vals[n / 2]), Some(vals[n / 2])), // empty
-            ];
-            for &(lo, hi) in probes {
-                for (start, end) in [(0, n), (10, 200), (n / 2, n / 2)] {
-                    let (mut c, mut s) = (0u64, 0u128);
-                    for (i, &v) in vals.iter().enumerate() {
-                        let q = i >= start
-                            && i < end
-                            && lo.is_none_or(|l| v >= l)
-                            && hi.is_none_or(|h| v < h);
-                        if q {
-                            c += 1;
-                            s += v as u128;
-                        }
-                    }
-                    assert_eq!(
-                        filter_count_sorted(&packed, bits, n, start, end, lo, hi),
-                        (c, s),
-                        "bits={bits} lo={lo:?} hi={hi:?} [{start},{end})"
-                    );
-                }
-            }
-            // lower_bound against the slice oracle.
-            for &t in &[0, 1, vals[n / 3], vals[n - 1], u64::MAX] {
-                assert_eq!(
-                    lower_bound(&packed, bits, n, t),
-                    vals.partition_point(|&v| v < t),
-                    "bits={bits} target={t}"
-                );
-            }
-        }
-    }
-
     fn filter_oracle(vals: &[i64], lo: Option<i64>, hi: Option<i64>) -> (u64, i128) {
         let mut c = 0u64;
         let mut s = 0i128;
@@ -771,26 +206,12 @@ mod tests {
 
     #[cfg(target_arch = "x86_64")]
     #[test]
-    fn avx2_paths_agree_with_portable() {
+    fn avx2_filter_agrees_with_portable() {
         if !std::is_x86_feature_detected!("avx2") {
             eprintln!("skipping: no AVX2 on this CPU");
             return;
         }
-        // Block unpack: every width, several blocks, both paths.
-        for bits in 1..=64u32 {
-            let vals = masked_values(bits, 4 * BLOCK, 0xD15 + bits as u64);
-            let packed = pack_bits(vals.iter().copied(), vals.len(), bits);
-            let t = avx2::Avx2Unpacker::new(bits);
-            for blk in 0..4 {
-                let words = &packed[blk * bits as usize..];
-                let mut a = [0u64; BLOCK];
-                let mut b = [0u64; BLOCK];
-                unpack_block_portable(words, bits, &mut a);
-                t.unpack(words, &mut b);
-                assert_eq!(a, b, "bits={bits} block={blk}");
-            }
-        }
-        // Lane filter: random + adversarial lanes, random bounds.
+        // Random + adversarial lanes, random bounds.
         let mut s = 0xF00Du64;
         let mut vals: Vec<i64> = (0..1009).map(|_| splitmix(&mut s) as i64).collect();
         vals.extend_from_slice(&[i64::MIN, i64::MAX, 0]);
@@ -812,60 +233,7 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(96))]
 
-            // Scalar-vs-kernel equivalence across widths, lengths and
-            // unaligned windows: decode, random access, sum.
-            #[test]
-            fn kernels_match_scalar_cursor(
-                bits in 0u32..=64,
-                len in 0usize..300,
-                seed in any::<u64>(),
-                frac in (0u8..=255, 0u8..=255),
-            ) {
-                let vals = masked_values(bits, len, seed);
-                let packed = pack_bits(vals.iter().copied(), len, bits);
-                prop_assert_eq!(scalar_decode(&packed, bits, len), vals.clone());
-                let a = len * frac.0 as usize / 256;
-                let b = a.max(len * frac.1 as usize / 256);
-                let mut out = Vec::new();
-                decode_range(&packed, bits, len, a, b, |v| out.push(v));
-                prop_assert_eq!(&out[..], &vals[a..b]);
-                let oracle: u128 = vals[a..b].iter().map(|&v| v as u128).sum();
-                prop_assert_eq!(sum_range(&packed, bits, len, a, b), oracle);
-                if len > 0 {
-                    let i = seed as usize % len;
-                    prop_assert_eq!(get(&packed, bits, i), vals[i]);
-                }
-            }
-
-            // Sorted fused filter == linear filter oracle, including
-            // unbounded and inverted (empty) bounds.
-            #[test]
-            fn sorted_filter_matches_oracle(
-                bits in 0u32..=64,
-                len in 0usize..300,
-                seed in any::<u64>(),
-                lo_raw in (any::<bool>(), any::<u64>()),
-                hi_raw in (any::<bool>(), any::<u64>()),
-            ) {
-                let lo = lo_raw.0.then_some(lo_raw.1);
-                let hi = hi_raw.0.then_some(hi_raw.1);
-                let mut vals = masked_values(bits, len, seed);
-                vals.sort_unstable();
-                let packed = pack_bits(vals.iter().copied(), len, bits);
-                let (mut c, mut s) = (0u64, 0u128);
-                for &v in &vals {
-                    if lo.is_none_or(|l| v >= l) && hi.is_none_or(|h| v < h) {
-                        c += 1;
-                        s += v as u128;
-                    }
-                }
-                prop_assert_eq!(
-                    filter_count_sorted(&packed, bits, len, 0, len, lo, hi),
-                    (c, s)
-                );
-            }
-
-            // Unsorted lane filter (portable and dispatched) == oracle.
+            // Lane filter (portable and dispatched) == oracle.
             #[test]
             fn lane_filter_matches_oracle(
                 vals in proptest::collection::vec(any::<i64>(), 0..400),

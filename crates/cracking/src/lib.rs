@@ -35,9 +35,10 @@
 //!   [`PointFilter`] published through the same epoch machinery as the
 //!   plan-time statistics, so equality/IN probes on non-containing shards
 //!   answer "empty" without cracking anything,
-//! - [`kernels`] — block-at-a-time unpack / fused scan kernels for the
-//!   bit-packed segment encodings: width-specialised portable inner loops
-//!   with explicit AVX2 paths behind one-time runtime dispatch.
+//! - [`kernels`] — the i64 lane filter (count + widened sum of the values
+//!   in a range) that plain snapshot scans run over their edge pieces: a
+//!   portable autovectorised loop and an explicit AVX2 path behind
+//!   one-time runtime dispatch.
 
 pub mod avl;
 pub mod column;

@@ -24,17 +24,13 @@ use holix_storage::types::CrackValue;
 pub const MAX_STATS_BOUNDS: usize = 1 << 12;
 
 /// One published snapshot piece as the planner sees it: its upper boundary
-/// key (`None` = the column-max edge), its tuple count, and whether its
-/// segment is still plain (encoded pieces pay a bit-unpack per value when a
-/// bound forces element-wise edge filtering — the decode-cost term).
+/// key (`None` = the column-max edge) and its tuple count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SnapPieceStat<V> {
     /// Upper boundary key (`None` = column-max edge piece).
     pub hi_key: Option<V>,
     /// Tuples in the piece.
     pub len: usize,
-    /// `true` when the backing segment is an uncompressed `Vec<V>`.
-    pub plain: bool,
 }
 
 /// One shard's published plan-time summary. All fields describe the column
@@ -51,7 +47,7 @@ pub struct PieceStats<V> {
     /// Pending-merge backlog (queued Ripple inserts + deletes).
     pub pending: usize,
     /// Published snapshot's piece table (`None` when no snapshot is
-    /// published): the snapshot-staleness and decode-cost statistic.
+    /// published): the snapshot-staleness and edge-filter statistic.
     pub snap_pieces: Option<Vec<SnapPieceStat<V>>>,
 }
 
@@ -184,24 +180,6 @@ impl<V: CrackValue> PieceStats<V> {
         Some(cost)
     }
 
-    /// The edge-filter rows of a `[lo, hi)` snapshot scan that additionally
-    /// pay a per-value bit-unpack because their piece is *encoded* (FOR /
-    /// delta / RLE). A subset of [`PieceStats::snapshot_edge_filter`]:
-    /// plain edge pieces filter at memcmp speed and cost nothing here.
-    /// `None` when no snapshot is published.
-    pub fn snapshot_edge_decode(&self, lo: V, hi: V) -> Option<u64> {
-        let pieces = self.snap_pieces.as_ref()?;
-        let mut cost = 0u64;
-        for v in [lo, hi] {
-            if let Some(p) = Self::edge_piece(pieces, v) {
-                if !p.plain {
-                    cost += p.len as u64;
-                }
-            }
-        }
-        Some(cost)
-    }
-
     /// The snapshot piece a non-sentinel bound `v` falls *inside* (element-
     /// wise edge filtering) — `None` when `v` is a sentinel, an exact
     /// snapshot boundary, or past the last piece.
@@ -255,8 +233,8 @@ pub(crate) fn build_stats<V: CrackValue>(
 mod tests {
     use super::*;
 
-    fn sp(hi_key: Option<i64>, len: usize, plain: bool) -> SnapPieceStat<i64> {
-        SnapPieceStat { hi_key, len, plain }
+    fn sp(hi_key: Option<i64>, len: usize) -> SnapPieceStat<i64> {
+        SnapPieceStat { hi_key, len }
     }
 
     fn stats(
@@ -324,11 +302,7 @@ mod tests {
 
     #[test]
     fn snapshot_edge_filter_counts_only_edge_pieces() {
-        let snap = vec![
-            sp(Some(10), 30, true),
-            sp(Some(20), 40, true),
-            sp(None, 30, true),
-        ];
+        let snap = vec![sp(Some(10), 30), sp(Some(20), 40), sp(None, 30)];
         let s = stats(100, vec![(10, 30), (20, 70)], Some(snap));
         // Exact snapshot boundaries: no filtering.
         assert_eq!(s.snapshot_edge_filter(10, 20), Some(0));
@@ -337,26 +311,6 @@ mod tests {
         // Sentinels cover their edge.
         assert_eq!(s.snapshot_edge_filter(i64::MIN, 15), Some(40));
         assert_eq!(stats(100, vec![], None).snapshot_edge_filter(0, 1), None);
-    }
-
-    #[test]
-    fn snapshot_edge_decode_counts_only_encoded_edge_pieces() {
-        // Middle piece encoded, neighbours plain.
-        let snap = vec![
-            sp(Some(10), 30, true),
-            sp(Some(20), 40, false),
-            sp(None, 30, true),
-        ];
-        let s = stats(100, vec![(10, 30), (20, 70)], Some(snap));
-        // Both bounds filter, but only the encoded middle piece decodes.
-        assert_eq!(s.snapshot_edge_filter(5, 15), Some(70));
-        assert_eq!(s.snapshot_edge_decode(5, 15), Some(40));
-        // Exact snapshot boundaries never decode.
-        assert_eq!(s.snapshot_edge_decode(10, 20), Some(0));
-        // Sentinel bound covers its edge: only the hi edge decodes.
-        assert_eq!(s.snapshot_edge_decode(i64::MIN, 15), Some(40));
-        assert_eq!(s.snapshot_edge_decode(5, 25), Some(0));
-        assert_eq!(stats(100, vec![], None).snapshot_edge_decode(0, 1), None);
     }
 
     #[test]

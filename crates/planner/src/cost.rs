@@ -30,12 +30,6 @@ pub struct CostModel {
     /// Snapshot edge-filter budget above which a downgrade-to-snapshot
     /// stops paying (the inline filter would itself be the overload).
     pub downgrade_budget: u64,
-    /// Extra touched-value equivalents charged per edge-filtered value
-    /// that lives in an *encoded* (FOR / delta / RLE) snapshot piece — the
-    /// sequential bit-unpack a compressed-form scan pays on top of the
-    /// compare. Small: unpacking is a shift+mask, and the narrow piece is
-    /// more cache-resident than its plain form.
-    pub decode_weight: u64,
 }
 
 impl Default for CostModel {
@@ -45,7 +39,6 @@ impl Default for CostModel {
             snapshot_fixed: 64,
             cheap_budget: 1 << 12,
             downgrade_budget: 1 << 15,
-            decode_weight: 2,
         }
     }
 }
@@ -74,10 +67,6 @@ pub struct PlanCost {
     /// when some touched shard has no published snapshot (the first
     /// reader would pay an O(shard) build).
     pub snapshot_filter: Option<u64>,
-    /// The subset of `snapshot_filter` residing in *encoded* pieces, each
-    /// paying a bit-unpack on top of the compare (morphed cold segments).
-    /// Zero whenever `snapshot_filter` is `None`.
-    pub decode_rows: u64,
     /// Every bound was already a piece boundary in every touched shard
     /// (the paper's `f_Ih` exact hit — zero crack work).
     pub exact_hit: bool,
@@ -101,7 +90,6 @@ impl PlanCost {
             est_rows: len as u64,
             merge_backlog: 0,
             snapshot_filter: None,
-            decode_rows: 0,
             exact_hit: false,
             screened: false,
             shards_touched: 1,
@@ -140,7 +128,6 @@ impl PlanCost {
             (Some(a), Some(b)) => Some(a.saturating_add(b)),
             _ => None,
         };
-        self.decode_rows = self.decode_rows.saturating_add(other.decode_rows);
         self.exact_hit &= other.exact_hit;
         self.screened &= other.screened;
         self.shards_touched = self.shards_touched.saturating_add(other.shards_touched);
@@ -155,10 +142,6 @@ impl PlanCost {
 
     /// Touched-value cost of answering through the snapshot path (`None`
     /// when a touched shard has never published a snapshot; saturating).
-    /// Edge-filter values in encoded pieces pay `decode_weight` extra
-    /// each — the cutover sees that a morphed edge is a bit slower to
-    /// filter, while interior encoded pieces (answered from aggregates)
-    /// stay free.
     pub fn snapshot_cost(&self, model: &CostModel) -> Option<u64> {
         self.snapshot_filter.map(|f| {
             f.saturating_add(
@@ -166,7 +149,6 @@ impl PlanCost {
                     .snapshot_fixed
                     .saturating_mul(self.shards_touched as u64),
             )
-            .saturating_add(self.decode_rows.saturating_mul(model.decode_weight))
         })
     }
 
@@ -256,9 +238,6 @@ pub fn estimate<V: CrackValue>(stats: &PieceStats<V>, pred: Predicate<V>) -> Pla
         snapshot_filter: stats
             .snapshot_edge_filter(pred.lo, pred.hi)
             .map(|f| f as u64),
-        decode_rows: stats
-            .snapshot_edge_decode(pred.lo, pred.hi)
-            .unwrap_or_default(),
         exact_hit: lo_exact && hi_exact,
         screened: false,
         shards_touched: 1,
@@ -271,11 +250,7 @@ mod tests {
     use holix_cracking::piece_stats::{PieceStats, SnapPieceStat};
 
     fn sp(hi_key: Option<i64>, len: usize) -> SnapPieceStat<i64> {
-        SnapPieceStat {
-            hi_key,
-            len,
-            plain: true,
-        }
+        SnapPieceStat { hi_key, len }
     }
 
     fn stats(
@@ -341,41 +316,6 @@ mod tests {
         assert_eq!(c.preferred_route(&model), Route::Snapshot);
         assert!(c.price(&model) == QueryPrice::Expensive);
         assert!(c.downgradable(&model));
-    }
-
-    #[test]
-    fn encoded_edge_pieces_price_the_decode_term() {
-        let model = CostModel::default();
-        // Snapshot edges fresh but *encoded*: the decode term raises the
-        // snapshot price without touching the locked price.
-        let snap = vec![
-            SnapPieceStat {
-                hi_key: Some(10),
-                len: 4_000,
-                plain: false,
-            },
-            sp(Some(50), 42_000),
-            SnapPieceStat {
-                hi_key: None,
-                len: 4_000,
-                plain: false,
-            },
-        ];
-        let s = stats(50_000, vec![(10, 4_000), (50, 46_000)], 0, Some(snap));
-        let c = estimate(&s, Predicate::range(5, 60));
-        assert_eq!(c.snapshot_filter, Some(8_000));
-        assert_eq!(c.decode_rows, 8_000, "both edges decode");
-        let plain_price = 8_000 + model.snapshot_fixed;
-        assert_eq!(
-            c.snapshot_cost(&model),
-            Some(plain_price + 8_000 * model.decode_weight),
-            "encoded edges pay decode_weight on top of the filter"
-        );
-        // Interior encoded pieces stay free: bounds on snapshot boundaries
-        // price zero even though a middle piece could be encoded.
-        let exact = estimate(&s, Predicate::range(10, 50));
-        assert_eq!(exact.decode_rows, 0);
-        assert_eq!(exact.snapshot_cost(&model), Some(model.snapshot_fixed));
     }
 
     #[test]
@@ -461,7 +401,6 @@ mod tests {
             est_rows: u64::MAX - 1,
             merge_backlog: u64::MAX / 4,
             snapshot_filter: Some(u64::MAX - 1),
-            decode_rows: u64::MAX - 1,
             exact_hit: false,
             screened: false,
             shards_touched: u32::MAX,
@@ -484,22 +423,19 @@ mod tests {
         fn arb_cost() -> impl Strategy<Value = PlanCost> {
             (
                 (any::<u64>(), any::<u64>(), any::<u64>()),
-                (any::<u64>(), any::<u64>()),
+                any::<u64>(),
                 (any::<bool>(), any::<u64>()).prop_map(|(some, v)| some.then_some(v)),
                 any::<bool>(),
             )
-                .prop_map(|((crack, scan, est), (backlog, decode), snap, exact)| {
-                    PlanCost {
-                        crack_values: crack,
-                        scan_rows: scan,
-                        est_rows: est,
-                        merge_backlog: backlog,
-                        snapshot_filter: snap,
-                        decode_rows: decode,
-                        exact_hit: exact,
-                        screened: false,
-                        shards_touched: 1,
-                    }
+                .prop_map(|((crack, scan, est), backlog, snap, exact)| PlanCost {
+                    crack_values: crack,
+                    scan_rows: scan,
+                    est_rows: est,
+                    merge_backlog: backlog,
+                    snapshot_filter: snap,
+                    exact_hit: exact,
+                    screened: false,
+                    shards_touched: 1,
                 })
         }
 

@@ -725,7 +725,6 @@ impl Shared {
                 predicted_ns,
                 actual_ns: service.as_nanos() as u64,
                 crack_values: cost.map_or(0, |c| c.crack_values),
-                decode_rows: cost.map_or(0, |c| c.decode_rows),
             });
         }
     }

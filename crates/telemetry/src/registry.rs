@@ -186,7 +186,6 @@ mod tests {
             predicted_ns: 0,
             actual_ns: 0,
             crack_values: 0,
-            decode_rows: 0,
         });
         assert_eq!(r.trace().snapshot().len(), 1);
         assert_eq!(r.trace().snapshot()[0].attr, 9);

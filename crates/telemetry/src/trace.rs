@@ -1,7 +1,7 @@
 //! Bounded lock-free per-query trace ring.
 //!
 //! One [`QueryTrace`] per query lifecycle: admit decision → queue wait →
-//! batch/coalesce → route taken → crack/decode estimate → completion, with
+//! batch/coalesce → route taken → crack estimate → completion, with
 //! the shard-plan version and the predicted-vs-actual `PlanCost` residual
 //! attached. The ring is a fixed array of seqlock slots: a writer claims a
 //! ticket with one `fetch_add`, marks the slot's sequence odd, copies the
@@ -74,8 +74,6 @@ pub struct QueryTrace {
     pub actual_ns: u64,
     /// Planner's crack-work estimate (values to partition).
     pub crack_values: u64,
-    /// Planner's compressed-decode estimate (rows to unpack).
-    pub decode_rows: u64,
 }
 
 impl QueryTrace {
@@ -97,7 +95,6 @@ const EMPTY: QueryTrace = QueryTrace {
     predicted_ns: 0,
     actual_ns: 0,
     crack_values: 0,
-    decode_rows: 0,
 };
 
 struct Slot {

@@ -150,7 +150,7 @@ fn cycle_records_capture_worker_activity() {
     // cheap) is regenerated by `fig06d_workers`; wall-clock assertions are
     // too flaky under test-runner contention, so this test checks the
     // structural properties of the records. Column size keeps the early
-    // (first-crack + encoded-refresh) cycles short enough in debug builds
+    // (first-crack + refresh) cycles short enough in debug builds
     // that several cycles start inside the idle window below even on one
     // core.
     let data = Dataset::new(uniform_table(4, 100_000, 1 << 20, 34));
